@@ -12,7 +12,8 @@ Exit codes
 ----------
 0 success, 1 the experiment flagged a violation, 2 usage error, 3 file
 system error, 4 invalid values or malformed file content, and one code per
-domain error class:
+domain error class (each class carries it as ``exit_code``, see
+:mod:`mixent.errors`):
 
     10 RankDeficient      11 ZeroColumn        12 NotOrthonormal
     13 NonPositiveLambda  14 NotSpd            15 BadBlockStructure
@@ -35,44 +36,12 @@ from . import formats
 from .bse import Observation, minimize_contrast, separation_quality
 from .entropy import knn_entropy, spacing_entropy
 from .epi_lab import run_epi_trial, sample_sources
-from .errors import (
-    AlreadySquare,
-    BadBlockStructure,
-    DegenerateData,
-    DuplicatePoints,
-    MixentError,
-    NonPositiveLambda,
-    NotCircular,
-    NotOrthonormal,
-    NotSpd,
-    RankDeficient,
-    SingularCovariance,
-    TooFewSamples,
-    UnsupportedFamily,
-    UsageError,
-    ZeroColumn,
-)
+from .errors import MixentError, UnsupportedFamily, UsageError
 from .matrix_analysis import canonical_form, classify_components, rank_of
 
 __all__ = ["main"]
 
 DEFAULT_SEED = 0xC0FFEE
-
-_EXIT_CODES = {
-    RankDeficient: 10,
-    ZeroColumn: 11,
-    NotOrthonormal: 12,
-    NonPositiveLambda: 13,
-    NotSpd: 14,
-    BadBlockStructure: 15,
-    AlreadySquare: 16,
-    UnsupportedFamily: 17,
-    NotCircular: 18,
-    TooFewSamples: 19,
-    DegenerateData: 20,
-    DuplicatePoints: 21,
-    SingularCovariance: 22,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,15 +218,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as e:
-        print(f"mixent: error: UsageError: {e}", file=sys.stderr)
-        return 2
     except MixentError as e:
         print(f"mixent: error: {type(e).__name__}: {e}", file=sys.stderr)
-        for cls, code in _EXIT_CODES.items():
-            if isinstance(e, cls):
-                return code
-        return 4
+        return e.exit_code
     except OSError as e:
         print(f"mixent: error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -29,10 +29,11 @@ from .entropy import (
     spacing_entropy,
     surrogate_sigma,
 )
-from .errors import NotOrthonormal, RankDeficient, UnsupportedFamily
+from .errors import RankDeficient, UnsupportedFamily
 from .matrix_analysis import (
     ComponentClassification,
     MixingMatrix,
+    _check_orthonormal_rows,
     classify_components,
     log_concavity_gap,
     log_concavity_gap_blocks,
@@ -134,11 +135,13 @@ def sample_sources(
     """Sample an (n_samples, n) matrix, one column per source model.
 
     Column j of trial t uses the derived stream t * 2^20 + j, so trials and
-    components are independent and reproducible.
+    components are independent and reproducible.  All models must live over
+    the same field (else ``UnsupportedFamily``).
     """
     sources = list(sources)
-    fld = sources[0].field
-    dtype = np.complex128 if fld == "complex" else np.float64
+    if len({s.field for s in sources}) > 1:
+        raise UnsupportedFamily("cannot sample models over mixed fields into one array")
+    dtype = np.complex128 if sources[0].field == "complex" else np.float64
     out = np.empty((n_samples, len(sources)), dtype=dtype)
     for j, s in enumerate(sources):
         out[:, j] = dist.sample(s, n_samples, seed, stream=(trial << 20) | j)
@@ -435,9 +438,7 @@ def expectation_inequality_check(Q, targets, n_samples: int, seed: int) -> float
     arr = np.asarray(Q, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("Q must be a matrix")
-    gram_err = float(np.abs(arr @ arr.T - np.eye(arr.shape[0])).max())
-    if gram_err > 1e-8:
-        raise NotOrthonormal(f"rows are not orthonormal (deviation {gram_err:.3e})")
+    _check_orthonormal_rows(arr)
     targets = list(targets)
     if len(targets) != arr.shape[1]:
         raise ValueError("need one target per column of Q")

@@ -12,6 +12,7 @@ the Python API stays 0-based.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -106,12 +107,6 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
-def _array_to_data(arr: np.ndarray, field: str):
-    if field == "complex":
-        return [[[_num(x.real), _num(x.imag)] for x in row] for row in np.atleast_2d(arr)]
-    return [[_num(x) for x in row] for row in np.atleast_2d(arr)]
-
-
 def _data_to_array(data, field: str) -> np.ndarray:
     if field == "complex":
         rows = []
@@ -130,12 +125,9 @@ def matrix_to_dict(matrix) -> dict:
     """Encode a mixing matrix as {rows, cols, field, data} (row-major)."""
     if not isinstance(matrix, MixingMatrix):
         matrix = MixingMatrix.from_array(matrix)
-    return {
-        "rows": matrix.rows,
-        "cols": matrix.cols,
-        "field": matrix.field,
-        "data": _array_to_data(matrix.array, matrix.field),
-    }
+    return _plain(
+        {"rows": matrix.rows, "cols": matrix.cols, "field": matrix.field, "data": matrix.array}
+    )
 
 
 def matrix_from_dict(d: dict) -> MixingMatrix:
@@ -154,11 +146,7 @@ def matrix_from_dict(d: dict) -> MixingMatrix:
 
 
 def model_to_dict(model: dist.SourceModel) -> dict:
-    return {
-        "family": model.family,
-        "params": _plain(model.params),
-        "field": model.field,
-    }
+    return _plain({"family": model.family, "params": model.params, "field": model.field})
 
 
 def model_from_dict(d: dict) -> dist.SourceModel:
@@ -211,10 +199,10 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
 def read_samples_csv(path):
     """Read a samples CSV; returns (array, field)."""
     text = Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty samples file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     complex_field = any(h.endswith("_re") for h in header)
     if complex_field:
         if len(header) % 2 != 0:
@@ -226,24 +214,22 @@ def read_samples_csv(path):
         expected = [f"s{j + 1}" for j in range(n)]
     if header != expected:
         raise ValueError(f"unexpected CSV header {header}, expected {expected}")
-    raw = np.array(
-        [[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=np.float64
-    )
-    if raw.ndim != 2 or raw.shape[1] != len(header):
-        raise ValueError("ragged CSV rows")
+    if len(lines) == 1:
+        raise ValueError("no sample rows")
+    rows = []
+    for i, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) != len(header):
+            raise ValueError(f"line {i} has {len(fields)} fields, the header has {len(header)}")
+        rows.append([float(v) for v in fields])
+    raw = np.array(rows, dtype=np.float64)
     if complex_field:
         return raw[:, 0::2] + 1j * raw[:, 1::2], "complex"
     return raw, "real"
 
 
 def estimate_to_dict(e: EntropyEstimate) -> dict:
-    return {
-        "value": _num(e.value),
-        "method": e.method,
-        "n_samples": e.n_samples,
-        "params": _plain(e.params),
-        "std_error": _num(e.std_error),
-    }
+    return _plain(dataclasses.asdict(e))
 
 
 def estimate_from_dict(d: dict) -> EntropyEstimate:
@@ -258,14 +244,11 @@ def estimate_from_dict(d: dict) -> EntropyEstimate:
 
 def classification_to_dict(c: ComponentClassification) -> dict:
     """Encode with 1-based component labels."""
-    field = "complex" if np.iscomplexobj(c.witnesses) else "real"
-    return {
-        "present": [j + 1 for j in c.present],
-        "recoverable": [j + 1 for j in c.recoverable],
-        "witnesses": _array_to_data(c.witnesses, field) if c.witnesses.size else [],
-        "field": field,
-        "tolerance": _num(c.tolerance),
-    }
+    d = dataclasses.asdict(c)
+    d["present"] = [j + 1 for j in c.present]
+    d["recoverable"] = [j + 1 for j in c.recoverable]
+    d["field"] = "complex" if np.iscomplexobj(c.witnesses) else "real"
+    return _plain(d)
 
 
 def classification_from_dict(d: dict) -> ComponentClassification:
@@ -286,22 +269,13 @@ def classification_from_dict(d: dict) -> ComponentClassification:
 
 def canonical_to_dict(dec: CanonicalDecomposition) -> dict:
     """Encode with a 1-based column permutation."""
-    return {
-        "B": _array_to_data(dec.B, dec.field),
-        "permutation": [j + 1 for j in dec.permutation],
-        "r": dec.r,
-        "tail": _array_to_data(dec.tail, dec.field) if dec.tail.size else [],
-        "field": dec.field,
-    }
+    d = dataclasses.asdict(dec)
+    d["permutation"] = [j + 1 for j in dec.permutation]
+    return _plain(d)
 
 
 def settings_to_dict(s: EstimatorSettings) -> dict:
-    return {
-        "knn_k": s.knn_k,
-        "spacing_m": s.spacing_m,
-        "tolerance_multiplier": _num(s.tolerance_multiplier),
-        "jitter_seed": s.jitter_seed,
-    }
+    return _plain(dataclasses.asdict(s))
 
 
 def settings_from_dict(d: dict) -> EstimatorSettings:
@@ -357,24 +331,10 @@ def config_from_dict(d: dict, base_dir=None) -> EpiExperimentConfig:
 
 
 def epi_report_to_dict(report: EpiReport) -> dict:
-    return {
-        "lhs": None if report.lhs is None else estimate_to_dict(report.lhs),
-        "rhs": None if report.rhs is None else _num(report.rhs),
-        "gap": None if report.gap is None else _num(report.gap),
-        "gap_std_error": None if report.gap_std_error is None else _num(report.gap_std_error),
-        "per_trial_gaps": [_num(g) for g in report.per_trial_gaps],
-        "tolerance": None if report.tolerance is None else _num(report.tolerance),
-        "verdict": report.verdict,
-        "classification": (
-            None
-            if report.classification is None
-            else classification_to_dict(report.classification)
-        ),
-        "trivial": report.trivial,
-        "n_samples": report.n_samples,
-        "trials": report.trials,
-        "seed": report.seed,
-    }
+    d = dataclasses.asdict(report)
+    if report.classification is not None:
+        d["classification"] = classification_to_dict(report.classification)
+    return _plain(d)
 
 
 def epi_report_from_dict(d: dict) -> EpiReport:
@@ -401,41 +361,27 @@ def epi_report_from_dict(d: dict) -> EpiReport:
 
 
 def extraction_to_dict(result: ExtractionResult) -> dict:
-    return {
-        "W": matrix_to_dict(MixingMatrix.from_array(result.demixer)),
-        "contrast": _num(result.contrast_value),
-        "trace": [[_num(v) for v in t] for t in result.trace],
-        "whitener": matrix_to_dict(MixingMatrix.from_array(result.whitener)),
-        "seeds": [result.seed],
-        "converged": result.converged,
-        "sweeps": result.sweeps,
-        "best_restart": result.best_restart,
-        "restart_objectives": [_num(v) for v in result.restart_objectives],
-        "n_extracted": result.n_extracted,
-    }
+    return _plain(
+        {
+            "W": matrix_to_dict(result.demixer),
+            "contrast": result.contrast_value,
+            "trace": result.trace,
+            "whitener": matrix_to_dict(result.whitener),
+            "seeds": [result.seed],
+            "converged": result.converged,
+            "sweeps": result.sweeps,
+            "best_restart": result.best_restart,
+            "restart_objectives": result.restart_objectives,
+            "n_extracted": result.n_extracted,
+        }
+    )
 
 
 def quality_to_dict(q: SeparationQuality) -> dict:
-    field = "complex" if np.iscomplexobj(q.product) else "real"
-    return {
-        "product": _array_to_data(q.product, field),
-        "dominance": [_num(v) for v in q.dominance],
-        "selected": [j + 1 for j in q.selected],
-        "success": q.success,
-        "threshold": _num(q.threshold),
-    }
+    d = dataclasses.asdict(q)
+    d["selected"] = [j + 1 for j in q.selected]
+    return _plain(d)
 
 
 def decomposition_to_dict(d: ContrastDecomposition) -> dict:
-    return {
-        "contrast_value": _num(d.contrast_value),
-        "marginal_term": _num(d.marginal_term),
-        "alignment_term": _num(d.alignment_term),
-        "residual": _num(d.residual),
-        "common_entropy": _num(d.common_entropy),
-        "identity_gap": _num(d.identity_gap),
-        "std_error": _num(d.std_error),
-        "n_rows": d.n_rows,
-        "n_samples": d.n_samples,
-        "seed": d.seed,
-    }
+    return _plain(dataclasses.asdict(d))

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.linalg
 
+from .complex_embedding import unhat
 from .errors import (
     AlreadySquare,
     BadBlockStructure,
@@ -264,7 +265,6 @@ def canonical_form(A, tol: float | None = None) -> CanonicalDecomposition:
         before reduction.
     """
     arr = as_array(A)
-    _require_full_row_rank(arr)
     if tol is None:
         tol = recoverability_tolerance(arr)
     m, n = arr.shape
@@ -384,17 +384,6 @@ def log_concavity_gap(Q, lam) -> float:
     return float(logdet - trace_term)
 
 
-def _unhat_blocks(arr: np.ndarray, tol: float) -> np.ndarray:
-    a = arr[0::2, 0::2]
-    d = arr[1::2, 1::2]
-    b = arr[0::2, 1::2]
-    c = arr[1::2, 0::2]
-    err = max(float(np.abs(a - d).max()), float(np.abs(b + c).max()))
-    if err > tol:
-        raise BadBlockStructure(f"2x2 block pattern violated by {err:.3e} > {tol:.0e}")
-    return a + 1j * c
-
-
 def log_concavity_gap_blocks(Qhat, blocks) -> float:
     """Block version of :func:`log_concavity_gap` for embedded complex maps.
 
@@ -415,7 +404,7 @@ def log_concavity_gap_blocks(Qhat, blocks) -> float:
     arr = np.asarray(Qhat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] % 2 or arr.shape[1] % 2:
         raise BadBlockStructure("embedded matrix must have even dimensions")
-    Qc = _unhat_blocks(arr, tol=1e-10)
+    Qc = unhat(arr, tol=1e-10)
     _check_orthonormal_rows(Qc)
     m2, n2 = arr.shape
     nblocks = n2 // 2

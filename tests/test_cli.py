@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 import mixent
+import mixent.cli
+from mixent import errors
 from mixent import (
     EpiExperimentConfig,
     EstimatorSettings,
@@ -114,6 +117,14 @@ def test_generate_field_mismatch_exit_code(tmp_path, capsys):
     mix = write_matrix(tmp_path / "m.json", np.eye(2))
     assert main(["generate", "--sources", src, "--n", "10", "--mix", mix]) == 17
     assert "UnsupportedFamily" in capsys.readouterr().err
+
+
+def test_generate_mixed_fields_exit_code(tmp_path, capsys):
+    src = write_sources(tmp_path / "s.json", [gaussian(1.0), circular_gaussian(1.0)])
+    assert main(["generate", "--sources", src, "--n", "10"]) == 17
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "UnsupportedFamily" in captured.err
 
 
 def test_analyze_matrix_averaging_row(tmp_path, capsys):
@@ -318,3 +329,30 @@ def test_console_script_matches_direct_call(tmp_path, capsys):
     assert proc.returncode == 0
     assert main(["analyze-matrix", "--input", path]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MixentError)),
+    key=lambda c: c.__name__,
+)
+
+
+def documented_exit_codes():
+    """Exit codes by class name, as the `mixent.cli` docstring lists them."""
+    table = mixent.cli.__doc__.split("domain error class", 1)[1].split("Errors print", 1)[0]
+    codes = {name: int(code) for code, name in re.findall(r"\b(\d+) (\w+)", table)}
+    return {"MixentError": 4, "UsageError": 2, **codes}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_class_exit_code(cls, monkeypatch, capsys):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(mixent.cli, "_cmd_analyze_matrix", fail)
+    assert main(["analyze-matrix", "--input", "unused.json"]) == documented_exit_codes()[cls.__name__]
+    assert capsys.readouterr().err == f"mixent: error: {cls.__name__}: boom\n"
+
+
+def test_exit_code_table_matches_error_classes():
+    assert documented_exit_codes() == {c.__name__: c.exit_code for c in ERROR_CLASSES}

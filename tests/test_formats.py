@@ -5,11 +5,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mixent import (
+    CanonicalDecomposition,
+    ComponentClassification,
+    ContrastDecomposition,
+    EntropyEstimate,
     EpiExperimentConfig,
+    EpiReport,
     EstimatorSettings,
+    ExtractionResult,
     MixingMatrix,
     Observation,
+    SeparationQuality,
     canonical_form,
+    circular_gaussian,
     classify_components,
     gaussian,
     laplace,
@@ -160,6 +168,20 @@ def test_samples_csv_header_validation(tmp_path):
         fmt.read_samples_csv(path)
 
 
+def test_samples_csv_ragged_row_names_line(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("s1,s2\n1.0,2.0\n\n3.0\n")
+    with pytest.raises(ValueError, match=r"^line 4 has 1 fields, the header has 2$"):
+        fmt.read_samples_csv(path)
+
+
+def test_samples_csv_header_only(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("s1_re,s1_im\n")
+    with pytest.raises(ValueError, match=r"^no sample rows$"):
+        fmt.read_samples_csv(path)
+
+
 def test_estimate_round_trip():
     x = sample_sources([gaussian(1.0)], 2000, 2)[:, 0]
     est = spacing_entropy(x)
@@ -301,3 +323,160 @@ def test_decomposition_dict_shape():
         "n_samples",
         "seed",
     }
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Hand-built objects, one per encoder, with the canonical JSON they must give.
+# Expected texts are written compactly; expanded with the canonical indent they
+# must equal canonical_json's output byte for byte (ints stay ints, floats keep
+# their shortest repr, so the expansion is exact).
+GOLDEN = {
+    "matrix_complex": (
+        lambda: fmt.matrix_to_dict(MixingMatrix.from_array(np.array([[1 + 2j, -0.5j], [0.25, 3 - 1j]]))),
+        '{"cols": 2, "data": [[[1.0, 2.0], [-0.0, -0.5]], [[0.25, 0.0], [3.0, -1.0]]], "field": "complex", "rows": 2}',
+    ),
+    "model": (
+        lambda: fmt.model_to_dict(circular_gaussian(2.0)),
+        '{"family": "complex_circular_gaussian", "field": "complex", "params": {"sigma": 2.0}}',
+    ),
+    "estimate": (
+        lambda: fmt.estimate_to_dict(
+            EntropyEstimate(value=1.25, method="knn", n_samples=3000, params={"k": 4, "jitter": 0.5}, std_error=INF)
+        ),
+        '{"method": "knn", "n_samples": 3000, "params": {"jitter": 0.5, "k": 4}, "std_error": "inf", "value": 1.25}',
+    ),
+    "classification_empty_witnesses": (
+        lambda: fmt.classification_to_dict(
+            ComponentClassification(present=(0, 2), recoverable=(), witnesses=np.zeros((0, 2)), tolerance=1e-8)
+        ),
+        '{"field": "real", "present": [1, 3], "recoverable": [], "tolerance": 1e-08, "witnesses": []}',
+    ),
+    "classification_complex": (
+        lambda: fmt.classification_to_dict(
+            ComponentClassification(
+                present=(0, 1), recoverable=(1,), witnesses=np.array([[0.5 - 0.5j, 1j]]), tolerance=2.5e-8
+            )
+        ),
+        '{"field": "complex", "present": [1, 2], "recoverable": [2], "tolerance": 2.5e-08, '
+        '"witnesses": [[[0.5, -0.5], [0.0, 1.0]]]}',
+    ),
+    "canonical": (
+        lambda: fmt.canonical_to_dict(
+            CanonicalDecomposition(
+                B=np.array([[1.0, 0.0], [-0.5, 2.0]]),
+                permutation=(2, 0, 1),
+                r=1,
+                tail=np.array([[0.75, -1.5]]),
+                field="real",
+            )
+        ),
+        '{"B": [[1.0, 0.0], [-0.5, 2.0]], "field": "real", "permutation": [3, 1, 2], "r": 1, "tail": [[0.75, -1.5]]}',
+    ),
+    "canonical_complex_empty_tail": (
+        lambda: fmt.canonical_to_dict(
+            CanonicalDecomposition(
+                B=np.array([[1j, 0j], [0j, 1 + 0j]]),
+                permutation=(1, 0),
+                r=2,
+                tail=np.zeros((0, 0), dtype=complex),
+                field="complex",
+            )
+        ),
+        '{"B": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "field": "complex", "permutation": [2, 1], '
+        '"r": 2, "tail": []}',
+    ),
+    "settings": (
+        lambda: fmt.settings_to_dict(
+            EstimatorSettings(knn_k=6, spacing_m=None, tolerance_multiplier=2.5, jitter_seed=9)
+        ),
+        '{"jitter_seed": 9, "knn_k": 6, "spacing_m": null, "tolerance_multiplier": 2.5}',
+    ),
+    "config": (
+        lambda: fmt.config_to_dict(
+            EpiExperimentConfig(
+                matrix=MixingMatrix.from_array(np.array([[1.0, 0.5]])),
+                sources=(gaussian(1.0), gaussian(2.0, mu=0.5)),
+                n_samples=1000,
+                seed=7,
+                trials=2,
+            )
+        ),
+        '{"estimator": {"jitter_seed": 0, "knn_k": 4, "spacing_m": null, "tolerance_multiplier": 3.0}, '
+        '"matrix": {"cols": 2, "data": [[1.0, 0.5]], "field": "real", "rows": 1}, "n_samples": 1000, "seed": 7, '
+        '"sources": [{"family": "gaussian", "field": "real", "params": {"mu": 0.0, "sigma": 1.0}}, '
+        '{"family": "gaussian", "field": "real", "params": {"mu": 0.5, "sigma": 2.0}}], "trials": 2}',
+    ),
+    "epi_report_trivial": (
+        lambda: fmt.epi_report_to_dict(
+            EpiReport(
+                lhs=None, rhs=-INF, gap=None, gap_std_error=None, per_trial_gaps=(), tolerance=None,
+                verdict="near_equality", classification=None, trivial=True, n_samples=2000, trials=1, seed=3,
+            )
+        ),
+        '{"classification": null, "gap": null, "gap_std_error": null, "lhs": null, "n_samples": 2000, '
+        '"per_trial_gaps": [], "rhs": "-inf", "seed": 3, "tolerance": null, "trials": 1, "trivial": true, '
+        '"verdict": "near_equality"}',
+    ),
+    "epi_report_full": (
+        lambda: fmt.epi_report_to_dict(
+            EpiReport(
+                lhs=EntropyEstimate(value=2.5, method="spacing", n_samples=2000, params={"m": 44}, std_error=0.0125),
+                rhs=2.25, gap=0.25, gap_std_error=NAN, per_trial_gaps=(0.25, -INF), tolerance=0.0375,
+                verdict="strict",
+                classification=ComponentClassification(
+                    present=(0, 1), recoverable=(0,), witnesses=np.array([[1.0, -0.25]]), tolerance=1e-8
+                ),
+                trivial=False, n_samples=2000, trials=2, seed=11,
+            )
+        ),
+        '{"classification": {"field": "real", "present": [1, 2], "recoverable": [1], "tolerance": 1e-08, '
+        '"witnesses": [[1.0, -0.25]]}, "gap": 0.25, "gap_std_error": "nan", "lhs": {"method": "spacing", '
+        '"n_samples": 2000, "params": {"m": 44}, "std_error": 0.0125, "value": 2.5}, "n_samples": 2000, '
+        '"per_trial_gaps": [0.25, "-inf"], "rhs": 2.25, "seed": 11, "tolerance": 0.0375, "trials": 2, '
+        '"trivial": false, "verdict": "strict"}',
+    ),
+    "extraction_non_finite": (
+        lambda: fmt.extraction_to_dict(
+            ExtractionResult(
+                demixer=np.array([[0.6, 0.8]]), contrast_value=-0.125, converged=False, sweeps=30,
+                best_restart=1, restart_objectives=(INF, -0.125, NAN), trace=((0.5, NAN), (-INF, 0.25)),
+                whitener=np.array([[2.0, 0.0], [0.5, 1.0]]), n_extracted=1, seed=42,
+            )
+        ),
+        '{"W": {"cols": 2, "data": [[0.6, 0.8]], "field": "real", "rows": 1}, "best_restart": 1, '
+        '"contrast": -0.125, "converged": false, "n_extracted": 1, "restart_objectives": ["inf", -0.125, "nan"], '
+        '"seeds": [42], "sweeps": 30, "trace": [[0.5, "nan"], ["-inf", 0.25]], '
+        '"whitener": {"cols": 2, "data": [[2.0, 0.0], [0.5, 1.0]], "field": "real", "rows": 2}}',
+    ),
+    "quality_complex": (
+        lambda: fmt.quality_to_dict(
+            SeparationQuality(
+                product=np.array([[0.9 + 0.1j, 0.05j], [0.0, -1.0 + 0.5j]]), dominance=(0.99, 0.8),
+                selected=(0, 1), success=False, threshold=0.95,
+            )
+        ),
+        '{"dominance": [0.99, 0.8], "product": [[[0.9, 0.1], [0.0, 0.05]], [[0.0, 0.0], [-1.0, 0.5]]], '
+        '"selected": [1, 2], "success": false, "threshold": 0.95}',
+    ),
+    "decomposition": (
+        lambda: fmt.decomposition_to_dict(
+            ContrastDecomposition(
+                contrast_value=1.5, marginal_term=0.5, alignment_term=0.25, residual=-0.0,
+                common_entropy=1.4189385332046727, identity_gap=NAN, std_error=-INF,
+                n_rows=2, n_samples=4000, seed=5,
+            )
+        ),
+        '{"alignment_term": 0.25, "common_entropy": 1.4189385332046727, "contrast_value": 1.5, '
+        '"identity_gap": "nan", "marginal_term": 0.5, "n_rows": 2, "n_samples": 4000, "residual": -0.0, '
+        '"seed": 5, "std_error": "-inf"}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_encoder_golden_bytes(name):
+    encode, compact = GOLDEN[name]
+    expected = json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
+    assert fmt.canonical_json(encode()) == expected
+
