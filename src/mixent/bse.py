@@ -21,6 +21,7 @@ import numpy as np
 from . import distributions as dist
 from .entropy import (
     _knn_value,
+    _require_finite,
     default_spacing_window,
     knn_entropy,
     spacing_entropy,
@@ -60,12 +61,14 @@ class Observation:
 
     @classmethod
     def from_samples(cls, samples) -> "Observation":
+        """Validate and copy samples; raises DegenerateData on non-finite values."""
         arr = np.asarray(samples)
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError("samples must be a 2-D array with at least two rows")
-        if np.iscomplexobj(arr):
-            return cls(samples=arr.astype(np.complex128), field="complex")
-        return cls(samples=arr.astype(np.float64), field="real")
+        field = "complex" if np.iscomplexobj(arr) else "real"
+        arr = arr.astype(np.complex128 if field == "complex" else np.float64)
+        _require_finite(arr)
+        return cls(samples=arr, field=field)
 
 
 def sample_covariance(samples: np.ndarray) -> np.ndarray:
@@ -119,6 +122,13 @@ def _marginal_entropy_value(z: np.ndarray, field: str, settings: EstimatorSettin
     return _knn_value(np.column_stack((z.real, z.imag)), settings.knn_k)
 
 
+def _check_spacing_window(obs: Observation, settings: EstimatorSettings) -> None:
+    # spacing_entropy_value needs 1 <= m <= N // 2 and does not check it.
+    m, half = settings.spacing_m, obs.samples.shape[0] // 2
+    if obs.field == "real" and m is not None and not 1 <= m <= half:
+        raise ValueError(f"window m={m} out of range [1, {half}]")
+
+
 def _logdet_block_std_error(Y: np.ndarray, W: np.ndarray, coeff: float, blocks: int = 10) -> float:
     n_samples, dim = Y.shape
     while blocks > 1 and n_samples // blocks < dim + 1:
@@ -149,8 +159,11 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
     ------
     RankDeficient
         If W has linearly dependent rows.
+    ValueError
+        Real data with ``settings.spacing_m`` outside [1, N // 2].
     """
     settings = settings or EstimatorSettings()
+    _check_spacing_window(obs, settings)
     arr = np.asarray(W, dtype=np.complex128 if obs.field == "complex" else np.float64)
     if arr.ndim != 2 or arr.shape[1] != obs.samples.shape[1]:
         raise ValueError("W must be a matrix with one column per observed channel")
@@ -252,36 +265,30 @@ def _optimize_frame(
     """Coordinate descent over Givens rotations of an orthonormal frame."""
     n = U0.shape[0]
     U = U0.copy()
-    Z = Yw @ U.T
-    hvals = np.array(
-        [_marginal_entropy_value(Z[:, i], field, settings) for i in range(m)]
-    )
+    # One contiguous row per frame vector, so rotations stream through memory.
+    Z = np.ascontiguousarray((Yw @ U.T).T)
+    hvals = np.array([_marginal_entropy_value(Z[i], field, settings) for i in range(m)])
     complex_field = field == "complex"
     trace = [float(hvals.sum())]
     converged = False
     sweeps = 0
-
-    def pair_value(zp, zq, include_q):
-        v = _marginal_entropy_value(zp, field, settings)
-        if include_q:
-            v += _marginal_entropy_value(zq, field, settings)
-        return v
 
     for sweep in range(max_sweeps):
         improvement = 0.0
         for p in range(m):
             for q in range(p + 1, n):
                 include_q = q < m
-                zp, zq = Z[:, p], Z[:, q]
+                zp, zq = Z[p], Z[q]
                 f0 = hvals[p] + (hvals[q] if include_q else 0.0)
 
                 def f_theta(t, phase=1.0):
                     c, s = math.cos(t), math.sin(t)
-                    return pair_value(
-                        c * zp + (s * phase) * zq,
-                        (-s * np.conj(phase)) * zp + c * zq,
-                        include_q,
-                    )
+                    v = _marginal_entropy_value(c * zp + (s * phase) * zq, field, settings)
+                    if include_q:
+                        v += _marginal_entropy_value(
+                            (-s * np.conj(phase)) * zp + c * zq, field, settings
+                        )
+                    return v
 
                 theta, f_best, _ = _line_search(
                     f_theta, f0, -math.pi / 4, math.pi / 4, budget=40
@@ -303,13 +310,13 @@ def _optimize_frame(
                     c, s = math.cos(theta), math.sin(theta)
                     zp_new = c * zp + (s * phase) * zq
                     zq_new = (-s * np.conj(phase)) * zp + c * zq
-                    Z[:, p], Z[:, q] = zp_new, zq_new
+                    Z[p], Z[q] = zp_new, zq_new
                     up, uq = U[p].copy(), U[q].copy()
                     U[p] = c * up + (s * phase) * uq
                     U[q] = (-s * np.conj(phase)) * up + c * uq
-                    hvals[p] = _marginal_entropy_value(Z[:, p], field, settings)
+                    hvals[p] = _marginal_entropy_value(Z[p], field, settings)
                     if include_q:
-                        hvals[q] = _marginal_entropy_value(Z[:, q], field, settings)
+                        hvals[q] = _marginal_entropy_value(Z[q], field, settings)
                     improvement += f0 - f_best
         sweeps = sweep + 1
         trace.append(float(hvals.sum()))
@@ -341,6 +348,8 @@ def minimize_contrast(
         Fewer than 1000 observations.
     SingularCovariance
         Numerically singular observation covariance.
+    ValueError
+        Real data with ``settings.spacing_m`` outside [1, N // 2].
     """
     settings = settings or EstimatorSettings()
     N, n = obs.samples.shape
@@ -350,6 +359,7 @@ def minimize_contrast(
         raise ValueError(f"n_extract must be in [1, {n}], got {n_extract}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    _check_spacing_window(obs, settings)
 
     wobs, C = whiten(obs)
     complex_field = obs.field == "complex"
@@ -512,9 +522,8 @@ def separation_quality(W, M, threshold: float = 0.95) -> SeparationQuality:
     is that magnitude's share of the row energy.  Success requires every
     dominance at least ``threshold`` and all selected columns distinct.
     """
-    Warr = np.asarray(W)
-    Marr = np.asarray(M)
-    P = Warr @ Marr
+    P = np.asarray(W) @ np.asarray(M)
+    P = P.astype(np.result_type(P, np.float64), copy=False)
     power = np.abs(P) ** 2
     total = power.sum(axis=1)
     if np.any(total == 0.0):
@@ -529,5 +538,5 @@ def separation_quality(W, M, threshold: float = 0.95) -> SeparationQuality:
         dominance=tuple(float(d) for d in dominance),
         selected=tuple(int(s) for s in selected),
         success=success,
-        threshold=threshold,
+        threshold=float(threshold),
     )

@@ -88,18 +88,27 @@ def spacing_entropy_value(samples: np.ndarray, m: int) -> float:
     """
     x = np.sort(samples)
     n = x.size
-    lo = np.empty(n)
-    hi = np.empty(n)
-    lo[:m] = x[0]
-    lo[m:] = x[:-m]
-    hi[: n - m] = x[m:]
-    hi[n - m :] = x[-1]
-    d = hi - lo
+    # d[i] = x[min(i + m, n - 1)] - x[max(i - m, 0)], written edge by edge.
+    d = np.empty(n)
+    np.subtract(x[m : 2 * m], x[0], out=d[:m])
+    np.subtract(x[2 * m :], x[: n - 2 * m], out=d[m : n - m])
+    np.subtract(x[-1], x[n - 2 * m : n - m], out=d[n - m :])
     c = _spacing_windows(n, m)
-    pos = d > 0
-    if not pos.any():
-        raise DegenerateData("all samples are equal")
-    return float(np.mean(np.log(d[pos] / c[pos]))) + math.log(n / m)
+    # Zero (tied) and NaN spacings are dropped before dividing, so a
+    # positive spacing never underflows to zero and gets dropped instead.
+    if not d.min() > 0:
+        pos = d > 0
+        if not pos.any():
+            raise DegenerateData("all samples are equal")
+        d, c = d[pos], c[pos]
+    d /= c
+    return float(np.mean(np.log(d))) + math.log(n / m)
+
+
+def _require_finite(arr: np.ndarray) -> None:
+    bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
+    if bad:
+        raise DegenerateData(f"samples contain {bad} non-finite values (NaN or inf)")
 
 
 def default_spacing_window(n: int) -> int:
@@ -138,7 +147,9 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
 
     Raises
     ------
-    TooFewSamples, DegenerateData
+    TooFewSamples
+    DegenerateData
+        All samples equal, or some not finite.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -146,6 +157,7 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     n = x.size
     if n < 10:
         raise TooFewSamples(f"need at least 10 samples, got {n}")
+    _require_finite(x)
     if m is None:
         m = default_spacing_window(n)
     if not (1 <= m <= n // 2):
@@ -188,6 +200,8 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
     Raises
     ------
     TooFewSamples, DuplicatePoints
+    DegenerateData
+        Some samples are not finite.
     """
     arr = np.asarray(samples)
     if np.iscomplexobj(arr):
@@ -202,6 +216,7 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
         raise TooFewSamples(f"need at least max(50, k+1) samples, got {n} with k={k}")
     if k < 1:
         raise ValueError("k must be at least 1")
+    _require_finite(arr)
 
     if np.unique(arr, axis=0).shape[0] < n:
         if not jitter:

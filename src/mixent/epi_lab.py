@@ -71,6 +71,9 @@ class EstimatorSettings:
     tolerance_multiplier: float = 3.0
     jitter_seed: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "tolerance_multiplier", float(self.tolerance_multiplier))
+
 
 @dataclass(frozen=True)
 class EpiExperimentConfig:

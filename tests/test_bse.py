@@ -1,14 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mixent import (
+    DegenerateData,
+    EstimatorSettings,
     Observation,
     RankDeficient,
     SingularCovariance,
     TooFewSamples,
     contrast,
     gaussian,
+    laplace,
     minimize_contrast,
     oracle_decompose,
     sample_covariance,
@@ -19,6 +24,7 @@ from mixent import (
     unit_variance_uniform,
     whiten,
 )
+from mixent import formats as fmt
 
 AVG_ROW = np.full((1, 2), 2**-0.5)
 STRICT_GAP = 0.5 * (1.0 - np.log(2.0))
@@ -38,6 +44,18 @@ def test_observation_from_samples():
         Observation.from_samples(np.zeros(5))
     with pytest.raises(ValueError):
         Observation.from_samples(np.zeros((1, 2)))
+
+
+def test_observation_rejects_non_finite_samples():
+    X, _ = uniform_observation(2, 2000, 36)
+    X[5, 1] = np.nan
+    X[7, 0] = np.inf
+    with pytest.raises(DegenerateData, match="2 non-finite"):
+        Observation.from_samples(X)
+    Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 37)
+    Z[3, 0] = complex(1.0, np.nan)
+    with pytest.raises(DegenerateData, match="1 non-finite"):
+        Observation.from_samples(Z)
 
 
 def test_sample_covariance_exact_small_case():
@@ -254,6 +272,37 @@ def test_minimize_contrast_validation():
         minimize_contrast(small, 1)
 
 
+def test_spacing_window_checked_against_sample_size():
+    _, obs = uniform_observation(2, 1000, 38)
+    for m in (0, 501, 600):
+        with pytest.raises(ValueError, match=rf"window m={m} out of range \[1, 500\]"):
+            minimize_contrast(obs, 1, restarts=1, settings=EstimatorSettings(spacing_m=m))
+        with pytest.raises(ValueError, match=rf"window m={m} out of range \[1, 500\]"):
+            contrast(np.eye(2), obs, EstimatorSettings(spacing_m=m))
+    assert np.isfinite(contrast(np.eye(2), obs, EstimatorSettings(spacing_m=500)))
+
+
+def _extraction_digest(result):
+    text = fmt.canonical_json(fmt.extraction_to_dict(result))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_minimize_contrast_seeded_golden():
+    # Pins the exact bytes of two seeded extractions, so any change to the
+    # search path or to the last bit of an entropy evaluation shows here.
+    gen = np.random.Generator(np.random.Philox(2019))
+    M, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+    X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 3000, 61)
+    res = minimize_contrast(
+        Observation.from_samples(X @ M.T), 2, seed=7, restarts=2, settings=EstimatorSettings(spacing_m=2)
+    )
+    assert _extraction_digest(res) == "319ba5af0abe596ad4109b3a98024ab5a1cfa680435a0d501ac8f5707352cca7"
+    Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
+    Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
+    res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)
+    assert _extraction_digest(res) == "2328da59f255a651ebfe537f1e1a503484e237c651f3ac7f5b80e419c94aab70"
+
+
 def test_oracle_decompose_separating_gaussian_scenario():
     sources = [gaussian(1.0)] * 4
     gen = np.random.Generator(np.random.Philox(20260819))
@@ -302,6 +351,13 @@ def test_separation_quality_identity():
     assert q.dominance == (1.0, 1.0)
     assert q.selected == (0, 1)
     assert q.threshold == 0.95
+
+
+def test_separation_quality_int_inputs_encode_as_floats():
+    q = separation_quality([[1, 0], [0, 1]], [[1, 0], [0, 1]], threshold=1)
+    ref = separation_quality(np.eye(2), np.eye(2), threshold=1.0)
+    assert fmt.canonical_json(fmt.quality_to_dict(q)) == fmt.canonical_json(fmt.quality_to_dict(ref))
+    assert '"threshold": 1.0' in fmt.canonical_json(fmt.quality_to_dict(q))
 
 
 def test_separation_quality_dominance_value():

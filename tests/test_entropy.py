@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from mixent import (
     surrogate_sigma,
     uniform,
 )
-from mixent.entropy import default_spacing_window
+from mixent.entropy import default_spacing_window, spacing_entropy_value
 
 H_NORMAL = 0.5 * np.log(2 * np.pi * np.e)
 AVG = np.array([[1.0, 0.0, 0.0], [0.0, 2**-0.5, 2**-0.5]])
@@ -80,9 +82,61 @@ def test_spacing_errors():
         spacing_entropy(x, m=0)
 
 
+def test_spacing_rejects_non_finite():
+    x = sample(gaussian(1.0), 2000, 12)
+    x[100] = np.nan
+    with pytest.raises(DegenerateData, match="1 non-finite"):
+        spacing_entropy(x)
+    x[200] = -np.inf
+    with pytest.raises(DegenerateData, match="2 non-finite"):
+        spacing_entropy(x, m=5)
+
+
 def test_spacing_deterministic():
     x = sample(gaussian(1.0), 2000, 11)
     assert spacing_entropy(x).value == spacing_entropy(x.copy()).value
+
+
+def _reference_spacing_value(samples, m):
+    # The original lo/hi formulation of the m-spacing kernel, kept verbatim:
+    # the optimized kernel must reproduce it bit for bit.
+    x = np.sort(samples)
+    n = x.size
+    lo = np.empty(n)
+    hi = np.empty(n)
+    lo[:m] = x[0]
+    lo[m:] = x[:-m]
+    hi[: n - m] = x[m:]
+    hi[n - m :] = x[-1]
+    d = hi - lo
+    c = np.full(n, 2.0)
+    i = np.arange(m, dtype=np.float64)
+    c[:m] = 1.0 + i / m
+    c[n - m :] = 1.0 + i[::-1] / m
+    pos = d > 0
+    if not pos.any():
+        raise DegenerateData("all samples are equal")
+    return float(np.mean(np.log(d[pos] / c[pos]))) + math.log(n / m)
+
+
+def test_spacing_value_bit_identical_to_reference():
+    gen = np.random.Generator(np.random.Philox(2003))
+    cases = []
+    for n in (10, 11, 50, 1000, 20000):
+        x = gen.standard_normal(n)
+        tied = np.round(x, 1)
+        with_nan = x.copy()
+        with_nan[n // 3] = np.nan
+        for m in sorted({1, 2, default_spacing_window(n), n // 2}):
+            cases += [(x, m), (tied, m), (with_nan, m)]
+    cases += [(gen.uniform(size=11), m) for m in range(1, 6)]
+    for x, m in cases:
+        assert spacing_entropy_value(x, m) == _reference_spacing_value(x, m), (x.size, m)
+    for m in (1, 5):
+        with pytest.raises(DegenerateData):
+            spacing_entropy_value(np.full(10, 3.0), m)
+        with pytest.raises(DegenerateData):
+            _reference_spacing_value(np.full(10, 3.0), m)
 
 
 def test_knn_two_dimensional_normal():
@@ -126,6 +180,18 @@ def test_knn_duplicates():
     assert est.value == again.value
     other = knn_entropy(pts, jitter=True, seed=1)
     assert est.value != other.value
+
+
+def test_knn_rejects_non_finite():
+    gen = np.random.Generator(np.random.Philox(13))
+    pts = gen.standard_normal((500, 2))
+    pts[10, 1] = np.nan
+    with pytest.raises(DegenerateData, match="1 non-finite"):
+        knn_entropy(pts)
+    z = pts[:, 0] + 1j * pts[:, 0]
+    z[20] = complex(np.inf, 0.0)
+    with pytest.raises(DegenerateData, match="1 non-finite"):
+        knn_entropy(z)
 
 
 def test_knn_errors():

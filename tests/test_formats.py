@@ -474,6 +474,15 @@ GOLDEN = {
 }
 
 
+def test_settings_int_tolerance_encodes_as_float():
+    s = EstimatorSettings(tolerance_multiplier=3)
+    assert s == EstimatorSettings()
+    assert fmt.canonical_json(fmt.settings_to_dict(s)) == fmt.canonical_json(
+        fmt.settings_to_dict(EstimatorSettings())
+    )
+    assert '"tolerance_multiplier": 3.0' in fmt.canonical_json(fmt.settings_to_dict(s))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_encoder_golden_bytes(name):
     encode, compact = GOLDEN[name]
