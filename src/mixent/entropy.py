@@ -113,7 +113,7 @@ def _require_finite(arr: np.ndarray) -> None:
 
 def default_spacing_window(n: int) -> int:
     """Default window: round(sqrt(n)), clipped to a valid range."""
-    return int(np.clip(round(math.sqrt(n)), 1, n // 2))
+    return int(min(max(round(math.sqrt(n)), 1), n // 2))
 
 
 def _block_std_error(estimate_block, x: np.ndarray, min_block: int) -> float:

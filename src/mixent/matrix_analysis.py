@@ -105,7 +105,7 @@ class MixingMatrix:
 
 
 def as_array(A) -> np.ndarray:
-    """Coerce a MixingMatrix or array-like to a 2-D ndarray."""
+    """Coerce a MixingMatrix or array-like to a finite 2-D ndarray."""
     if isinstance(A, MixingMatrix):
         return A.array
     arr = np.asarray(A)
@@ -113,6 +113,8 @@ def as_array(A) -> np.ndarray:
         raise ValueError("expected a 2-D matrix")
     if not np.iscomplexobj(arr):
         arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     return arr
 
 
@@ -199,8 +201,9 @@ def _require_full_row_rank(arr: np.ndarray) -> None:
     m, n = arr.shape
     if m > n:
         raise RankDeficient(f"matrix is {m}x{n}; need rows <= cols")
-    if rank_of(arr) < m:
-        raise RankDeficient(f"matrix has rank {rank_of(arr)} < {m} rows")
+    rank = rank_of(arr)
+    if rank < m:
+        raise RankDeficient(f"matrix has rank {rank} < {m} rows")
 
 
 def classify_components(A, tol: float | None = None) -> ComponentClassification:
@@ -222,26 +225,23 @@ def classify_components(A, tol: float | None = None) -> ComponentClassification:
     ComponentClassification
     """
     arr = as_array(A)
-    _require_full_row_rank(arr)
+    m, n = arr.shape
+    if m > n:
+        raise RankDeficient(f"matrix is {m}x{n}; need rows <= cols")
     if tol is None:
         tol = recoverability_tolerance(arr)
-    m, n = arr.shape
-
-    present = tuple(
-        j for j in range(n) if float(np.abs(arr[:, j]).max()) > tol
-    )
-
     # Minimum-norm least squares for all targets at once: columns of X solve
-    # A^T x = e_j, so witness rows are X^T.
-    X, *_ = np.linalg.lstsq(arr.T, np.eye(n, dtype=arr.dtype), rcond=None)
-    resid = arr.T @ X - np.eye(n, dtype=arr.dtype)
-    resid_max = np.abs(resid).max(axis=0)
-    recoverable = tuple(j for j in range(n) if resid_max[j] <= tol and j in set(present))
-    witnesses = X.T[list(recoverable), :] if recoverable else np.zeros((0, m), dtype=arr.dtype)
+    # A^T x = e_j, so witness rows are X^T.  The rank uses rank_of's cutoff.
+    eye = np.eye(n, dtype=arr.dtype)
+    X, _, rank, _ = np.linalg.lstsq(arr.T, eye, rcond=None)
+    if rank < m:
+        raise RankDeficient(f"matrix has rank {rank} < {m} rows")
+    present = np.abs(arr).max(axis=0) > tol
+    rec = np.flatnonzero(present & (np.abs(arr.T @ X - eye).max(axis=0) <= tol))
     return ComponentClassification(
-        present=present,
-        recoverable=recoverable,
-        witnesses=witnesses,
+        present=tuple(np.flatnonzero(present).tolist()),
+        recoverable=tuple(rec.tolist()),
+        witnesses=X.T[rec],
         tolerance=float(tol),
     )
 

@@ -61,6 +61,9 @@ def test_spacing_window_default():
     assert default_spacing_window(100) == 10
     assert default_spacing_window(10000) == 100
     assert default_spacing_window(10) == 3
+    for n in [*range(5000), 20_000, 10**6, 10**9]:
+        got = default_spacing_window(n)
+        assert type(got) is int and got == int(np.clip(round(math.sqrt(n)), 1, n // 2)), n
     x = sample(gaussian(1.0), 400, 1)
     est = spacing_entropy(x)
     assert est.params == {"m": 20}

@@ -1,5 +1,11 @@
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mixent import (
@@ -20,6 +26,12 @@ from mixent import (
     orthogonal_complement,
     rank_of,
     recoverability_tolerance,
+)
+from mixent.formats import (
+    canonical_json,
+    canonical_to_dict,
+    classification_from_dict,
+    classification_to_dict,
 )
 
 AVG = np.array([[1.0, 0.0, 0.0], [0.0, 2**-0.5, 2**-0.5]])
@@ -338,3 +350,149 @@ def test_log_concavity_gap_blocks_errors():
     bad[1, 2] = 1.0
     with pytest.raises(BadBlockStructure):
         log_concavity_gap_blocks(bad, [np.eye(2), np.eye(2)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "fn", [classify_components, canonical_form, rank_of, gram_schmidt_rows], ids=lambda f: f.__name__
+)
+def test_non_finite_matrix_rejected(fn, bad):
+    with pytest.raises(ValueError, match="finite"):
+        fn(np.array([[bad, 1.0], [0.0, 1.0]]))
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 4) for n in range(m, 5)]
+
+
+def _planted(gen, m, n, r, complex_field):
+    """B0^-1 [[I_r, 0], [0, tail]] P^T for a random invertible B0 and permutation P."""
+
+    def draw(shape):
+        z = gen.standard_normal(shape)
+        return z + 1j * gen.standard_normal(shape) if complex_field else z
+
+    core = np.zeros((m, n), dtype=np.complex128 if complex_field else np.float64)
+    core[:r, :r] = np.eye(r)
+    core[r:, r:] = draw((m - r, n - r))
+    B0 = draw((m, m))
+    while abs(np.linalg.det(B0)) < 0.1:
+        B0 = draw((m, m))
+    return np.linalg.solve(B0, core) @ np.eye(n)[gen.permutation(n)].T
+
+
+def _analyze(A, tol=None):
+    cls = classify_components(A, tol=tol)
+    record = {
+        "classification": classification_to_dict(cls),
+        "witness_layout": [str(cls.witnesses.dtype), list(cls.witnesses.shape)],
+    }
+    if len(cls.present) == A.shape[1]:
+        record["canonical"] = canonical_to_dict(canonical_form(A, tol=tol))
+    return record
+
+
+def test_classification_golden_digest():
+    """Pins the exact bytes of 185 classifications and canonical forms.
+
+    Covers full-rank {-1, 0, 1} matrices of every shape with m <= 3, n <= 4,
+    planted real and complex matrices with r = 0, 0 < r < m and r = m, and
+    one caller-given tolerance.  The digest holds the float bits of the
+    LAPACK build bundled with numpy 2.4.6; other builds may round the
+    witnesses differently.
+    """
+    if np.__version__ != "2.4.6":
+        pytest.skip(f"digest recorded with numpy 2.4.6, running {np.__version__}")
+    gen = np.random.Generator(np.random.Philox(104))
+    records = []
+    for m, n in SMALL_SHAPES:
+        kept = 0
+        while kept < 12:
+            A = gen.integers(-1, 2, size=(m, n)).astype(float)
+            if rank_of(A) == m:
+                records.append(_analyze(A))
+                kept += 1
+    for complex_field in (False, True):
+        for m, n in SMALL_SHAPES:
+            # r = m only for square shapes: otherwise the planted matrix has zero columns.
+            for r in range(m + (n == m)):
+                for _ in range(2):
+                    records.append(_analyze(_planted(gen, m, n, r, complex_field)))
+    records.append(_analyze(_planted(gen, 3, 4, 1, False), tol=1e-3))
+    digest = hashlib.sha256(canonical_json(records).encode()).hexdigest()
+    assert digest == "d7b9b440c2a9907eb8265ed5c017820389c5a1e3f30e25731647601fc8492337"
+
+
+def test_classify_rank_check_matches_rank_of():
+    for m, n in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 3)]:
+        for entries in itertools.product((-1.0, 0.0, 1.0), repeat=m * n):
+            A = np.array(entries).reshape(m, n)
+            deficient = rank_of(A) < m
+            try:
+                classify_components(A)
+            except RankDeficient:
+                assert deficient, A
+            else:
+                assert not deficient, A
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def full_rank_signs(draw):
+    """Full-row-rank {-1, 0, 1} matrices with m <= 3 rows and m <= n <= 4 columns."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 4))
+    entries = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m * n, max_size=m * n))
+    A = np.array(entries).reshape(m, n)
+    assume(rank_of(A) == m)
+    return A
+
+
+@st.composite
+def unimodular(draw, m):
+    """Integer m x m matrices with |det| = 1, as products of elementary row operations."""
+    B = np.eye(m)
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            B[i] += draw(st.sampled_from([-1.0, 1.0])) * B[j]
+        elif op == "swap":
+            B[[i, j]] = B[[j, i]]
+        elif op == "negate":
+            B[i] = -B[i]
+    return B
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_recoverable_invariant_under_unimodular_row_transform(data):
+    A = data.draw(full_rank_signs())
+    B = data.draw(unimodular(A.shape[0]))
+    assert classify_components(B @ A).recoverable == classify_components(A).recoverable
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_recoverable_follows_column_permutation(data):
+    A = data.draw(full_rank_signs())
+    perm = data.draw(st.permutations(range(A.shape[1])))
+    rec = set(classify_components(A).recoverable)
+    assert classify_components(A[:, perm]).recoverable == tuple(
+        k for k, j in enumerate(perm) if j in rec
+    )
+
+
+@PROPERTY_SETTINGS
+@given(A=full_rank_signs())
+def test_canonical_form_reconstructs_and_round_trips(A):
+    assume(np.all(np.abs(A).max(axis=0) > 0))
+    dec = canonical_form(A)
+    assert_allclose(dec.B @ A[:, list(dec.permutation)], dec.block_matrix(), atol=1e-10)
+    dec_dict = canonical_to_dict(dec)
+    assert json.loads(canonical_json(dec_dict)) == dec_dict
+    cls_dict = classification_to_dict(classify_components(A))
+    back = json.loads(canonical_json(cls_dict))
+    assert back == cls_dict
+    assert classification_to_dict(classification_from_dict(back)) == cls_dict
