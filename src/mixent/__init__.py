@@ -15,6 +15,10 @@ epi_lab             Monte Carlo verification harness for the bound
 bse                 blind source extraction by contrast minimization
 formats             deterministic JSON and CSV serialization
 cli                 the ``mixent`` command line tool
+
+Every scipy submodule is imported inside the function that calls it, not at
+module level: importing the package loads no scipy, so a ``mixent`` verb run
+as a process pays only for the scipy it uses.
 """
 
 from .bse import (

@@ -280,14 +280,20 @@ def _optimize_frame(
                 include_q = q < m
                 zp, zq = Z[p], Z[q]
                 f0 = hvals[p] + (hvals[q] if include_q else 0.0)
+                # Row entropies of every scored rotation, so an accepted one
+                # updates hvals without evaluating its rows again.
+                scored = {}
 
                 def f_theta(t, phase=1.0):
                     c, s = math.cos(t), math.sin(t)
-                    v = _marginal_entropy_value(c * zp + (s * phase) * zq, field, settings)
+                    v = hp = _marginal_entropy_value(c * zp + (s * phase) * zq, field, settings)
+                    hq = None
                     if include_q:
-                        v += _marginal_entropy_value(
+                        hq = _marginal_entropy_value(
                             (-s * np.conj(phase)) * zp + c * zq, field, settings
                         )
+                        v += hq
+                    scored[t, phase] = hp, hq
                     return v
 
                 theta, f_best, _ = _line_search(
@@ -299,8 +305,9 @@ def _optimize_frame(
                     def f_phi(a):
                         return f_theta(theta, phase=complex(math.cos(a), math.sin(a)))
 
+                    # f_best is f_theta(theta): theta is not 0, so it was scored.
                     phi, f_phi_best, _ = _line_search(
-                        f_phi, f_theta(theta), -math.pi / 2, math.pi / 2, budget=40
+                        f_phi, f_best, -math.pi / 2, math.pi / 2, budget=40
                     )
                     if f_phi_best < f_best:
                         f_best = f_phi_best
@@ -314,9 +321,9 @@ def _optimize_frame(
                     up, uq = U[p].copy(), U[q].copy()
                     U[p] = c * up + (s * phase) * uq
                     U[q] = (-s * np.conj(phase)) * up + c * uq
-                    hvals[p] = _marginal_entropy_value(Z[p], field, settings)
+                    hvals[p], hq = scored[theta, phase]
                     if include_q:
-                        hvals[q] = _marginal_entropy_value(Z[q], field, settings)
+                        hvals[q] = hq
                     improvement += f0 - f_best
         sweeps = sweep + 1
         trace.append(float(hvals.sum()))

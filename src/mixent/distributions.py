@@ -18,8 +18,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import ndtr, ndtri
 
 from .errors import NotCircular, UnsupportedFamily
 from .rng import generator, uniform_open
@@ -218,6 +216,8 @@ def _mixture_density(p: dict) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _mixture_entropy(p: dict) -> float:
+    from scipy import integrate
+
     pdf = _mixture_density(p)
     mus = p["mus"]
     sigmas = p["sigmas"]
@@ -279,6 +279,8 @@ def sample(model: SourceModel, n_samples: int, seed: int, stream: int = 0) -> np
     (seed, stream), so results are reproducible bit for bit and independent
     streams never overlap.  Complex families return complex128 arrays.
     """
+    from scipy.special import ndtri
+
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = generator(seed, stream)
@@ -420,6 +422,8 @@ def quantile_transport(target: SourceModel) -> TransportMap1D:
     UnsupportedFamily
         For complex targets; use :func:`radial_transport` instead.
     """
+    from scipy.special import ndtr
+
     if target.field != "real":
         raise UnsupportedFamily("quantile transport requires a real target")
     p = target.params
@@ -465,6 +469,8 @@ def quantile_transport(target: SourceModel) -> TransportMap1D:
             return _norm_pdf(x) / np.maximum(rate * ndtr(-np.asarray(x, dtype=float)), 1e-300)
 
     elif fam == "gaussian_mixture_2":
+        from scipy import optimize
+
         pdf = _mixture_density(p)
         w = np.asarray(p["weights"])
         mus = np.asarray(p["mus"])
@@ -586,6 +592,8 @@ def transport_log_derivative_expectation(tmap: TransportMap1D, n_samples: int, s
     when the target entropy matches the standard normal entropy, and is
     exactly zero for the standard normal target itself.
     """
+    from scipy.special import ndtri
+
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = generator(seed, 0)

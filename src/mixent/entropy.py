@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma, gammaln, ndtri
 
 from .complex_embedding import embed_samples
 from .errors import DegenerateData, DuplicatePoints, RankDeficient, TooFewSamples
@@ -172,6 +170,9 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
 
 
 def _knn_value(pts: np.ndarray, k: int) -> float:
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma, gammaln
+
     n, d = pts.shape
     tree = cKDTree(pts)
     dist, _ = tree.query(pts, k=k + 1, workers=-1)
@@ -221,6 +222,8 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
     if np.unique(arr, axis=0).shape[0] < n:
         if not jitter:
             raise DuplicatePoints("duplicate sample points with jitter disabled")
+        from scipy.special import ndtri
+
         rng = generator(seed, 0xD1CE)
         scale = arr.std(axis=0)
         fallback = max(1.0, float(np.abs(arr).max()))

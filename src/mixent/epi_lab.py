@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import distributions as dist
 from .complex_embedding import hat_embed
@@ -456,6 +455,8 @@ def expectation_inequality_check(Q, targets, n_samples: int, seed: int) -> float
                 f"target entropy {h:.12f} does not match the standard normal {h_ref:.12f}"
             )
         maps.append(dist.quantile_transport(t))
+
+    from scipy.special import ndtri
 
     n = arr.shape[1]
     lam = np.empty((n_samples, n))

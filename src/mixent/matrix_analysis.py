@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import scipy.linalg
 
 from .complex_embedding import unhat
 from .errors import (
@@ -183,7 +182,10 @@ def rank_of(A) -> int:
     The cutoff is ``max(m, n) * eps * sigma_max``, the standard conservative
     threshold for noisy input.
     """
-    arr = as_array(A)
+    return _rank(as_array(A))
+
+
+def _rank(arr: np.ndarray) -> int:
     s = np.linalg.svd(arr, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -193,7 +195,10 @@ def rank_of(A) -> int:
 
 def recoverability_tolerance(A) -> float:
     """Default residual tolerance, scaled by the matrix magnitude."""
-    arr = as_array(A)
+    return _default_tolerance(as_array(A))
+
+
+def _default_tolerance(arr: np.ndarray) -> float:
     return 1e-8 * (1.0 + float(np.linalg.norm(arr)))
 
 
@@ -201,7 +206,7 @@ def _require_full_row_rank(arr: np.ndarray) -> None:
     m, n = arr.shape
     if m > n:
         raise RankDeficient(f"matrix is {m}x{n}; need rows <= cols")
-    rank = rank_of(arr)
+    rank = _rank(arr)
     if rank < m:
         raise RankDeficient(f"matrix has rank {rank} < {m} rows")
 
@@ -224,12 +229,15 @@ def classify_components(A, tol: float | None = None) -> ComponentClassification:
     -------
     ComponentClassification
     """
-    arr = as_array(A)
+    return _classify(as_array(A), tol)
+
+
+def _classify(arr: np.ndarray, tol: float | None) -> ComponentClassification:
     m, n = arr.shape
     if m > n:
         raise RankDeficient(f"matrix is {m}x{n}; need rows <= cols")
     if tol is None:
-        tol = recoverability_tolerance(arr)
+        tol = _default_tolerance(arr)
     # Minimum-norm least squares for all targets at once: columns of X solve
     # A^T x = e_j, so witness rows are X^T.  The rank uses rank_of's cutoff.
     eye = np.eye(n, dtype=arr.dtype)
@@ -264,11 +272,11 @@ def canonical_form(A, tol: float | None = None) -> CanonicalDecomposition:
         If some column of A is zero; absent components must be dropped
         before reduction.
     """
+    import scipy.linalg
+
     arr = as_array(A)
-    if tol is None:
-        tol = recoverability_tolerance(arr)
     m, n = arr.shape
-    cls = classify_components(arr, tol=tol)
+    cls = _classify(arr, tol)
     if len(cls.present) != n:
         missing = sorted(set(range(n)) - set(cls.present))
         raise ZeroColumn(f"columns {missing} are zero; remove absent components first")
@@ -307,6 +315,8 @@ def gram_schmidt_rows(A) -> OrthonormalReduction:
     RankDeficient
         If A does not have full row rank.
     """
+    import scipy.linalg
+
     arr = as_array(A)
     _require_full_row_rank(arr)
     q, rr = np.linalg.qr(arr.conj().T)

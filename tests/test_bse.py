@@ -303,6 +303,47 @@ def test_minimize_contrast_seeded_golden():
     assert _extraction_digest(res) == "2328da59f255a651ebfe537f1e1a503484e237c651f3ac7f5b80e419c94aab70"
 
 
+@pytest.mark.parametrize("case", ["real", "complex"])
+def test_minimize_contrast_scores_each_rotation_once(case, monkeypatch):
+    # Outside the line searches the only entropy evaluations are the initial
+    # row scores of each restart and the rows of the final contrast: an
+    # accepted rotation reuses the row values its line search computed, and
+    # the complex phase search starts from the angle search's best value.
+    import mixent.bse as bse
+
+    counts = {"outside": 0, "accepted": 0}
+    depth = [0]
+    marginal, line_search = bse._marginal_entropy_value, bse._line_search
+
+    def counted_marginal(*args):
+        counts["outside"] += depth[0] == 0
+        return marginal(*args)
+
+    def counted_line_search(f, f0, *args, **kwargs):
+        depth[0] += 1
+        try:
+            t, f_best, evals = line_search(f, f0, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+        counts["accepted"] += f_best < f0 and t != 0.0
+        return t, f_best, evals
+
+    monkeypatch.setattr(bse, "_marginal_entropy_value", counted_marginal)
+    monkeypatch.setattr(bse, "_line_search", counted_line_search)
+    gen = np.random.Generator(np.random.Philox(2020))
+    if case == "real":
+        M, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+        X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 3000, 63)
+        k, restarts = 2, 2
+    else:
+        M, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
+        X = sample_sources([uniform_disk(1.0)] * 2, 2000, 64)
+        k, restarts = 1, 1
+    minimize_contrast(Observation.from_samples(X @ M.T), k, seed=9, restarts=restarts)
+    assert counts["accepted"] > 0
+    assert counts["outside"] == restarts * k + k
+
+
 def test_oracle_decompose_separating_gaussian_scenario():
     sources = [gaussian(1.0)] * 4
     gen = np.random.Generator(np.random.Philox(20260819))

@@ -361,6 +361,19 @@ def test_non_finite_matrix_rejected(fn, bad):
         fn(np.array([[bad, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "fn", [classify_components, canonical_form, rank_of, gram_schmidt_rows], ids=lambda f: f.__name__
+)
+def test_public_call_checks_its_matrix_once(fn, monkeypatch):
+    import mixent.matrix_analysis as ma
+
+    calls = []
+    as_array = ma.as_array
+    monkeypatch.setattr(ma, "as_array", lambda A: calls.append(A) or as_array(A))
+    fn(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]))
+    assert len(calls) == 1
+
+
 SMALL_SHAPES = [(m, n) for m in range(1, 4) for n in range(m, 5)]
 
 
