@@ -23,6 +23,7 @@ from . import distributions as dist
 from .bse import ContrastDecomposition, ExtractionResult, SeparationQuality
 from .entropy import EntropyEstimate
 from .epi_lab import EpiExperimentConfig, EpiReport, EstimatorSettings
+from .errors import DegenerateData
 from .matrix_analysis import (
     CanonicalDecomposition,
     ComponentClassification,
@@ -68,9 +69,27 @@ def _num(x) -> float | str:
 
 
 def _denum(v) -> float:
-    if isinstance(v, str) and v not in ("-inf", "inf", "nan"):
+    if isinstance(v, str):
+        if v not in ("-inf", "inf", "nan"):
+            raise ValueError(f"not a number: {v!r}")
+    elif not isinstance(v, (int, float, np.integer, np.floating)):
         raise ValueError(f"not a number: {v!r}")
     return float(v)
+
+
+def _int(v, what: str) -> int:
+    if isinstance(v, (int, float, str, np.integer, np.floating)):
+        try:
+            return int(v)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
+def _object(d, what: str) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    return d
 
 
 def _plain(obj):
@@ -107,18 +126,36 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def _entry(x, field: str):
+    if field != "complex":
+        return _denum(x)
+    if not (isinstance(x, (list, tuple)) and len(x) == 2):
+        raise ValueError("complex entries must be [re, im] pairs")
+    return complex(_denum(x[0]), _denum(x[1]))
+
+
 def _data_to_array(data, field: str) -> np.ndarray:
-    if field == "complex":
-        rows = []
-        for row in data:
-            out = []
-            for x in row:
-                if not (isinstance(x, (list, tuple)) and len(x) == 2):
-                    raise ValueError("complex entries must be [re, im] pairs")
-                out.append(complex(_denum(x[0]), _denum(x[1])))
-            rows.append(out)
-        return np.array(rows, dtype=np.complex128)
-    return np.array([[_denum(x) for x in row] for row in data], dtype=np.float64)
+    """Rows of JSON numbers (or [re, im] pairs) as a float64 or complex128
+    array; a row that is not a list, a row of another length than the
+    first, or an entry that is not a number raises ValueError naming it."""
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"matrix data must be a list of rows, got {data!r}")
+    rows = []
+    for i, row in enumerate(data, 1):
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"matrix data row {i} must be a list, got {row!r}")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"matrix data row {i} has {len(row)} entries, row 1 has {len(rows[0])}"
+            )
+        out = []
+        for j, x in enumerate(row, 1):
+            try:
+                out.append(_entry(x, field))
+            except ValueError as e:
+                raise ValueError(f"matrix data row {i}, entry {j}: {e}") from None
+        rows.append(out)
+    return np.array(rows, dtype=np.complex128 if field == "complex" else np.float64)
 
 
 def matrix_to_dict(matrix) -> dict:
@@ -131,6 +168,7 @@ def matrix_to_dict(matrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> MixingMatrix:
+    _object(d, "matrix")
     for key in ("rows", "cols", "field", "data"):
         if key not in d:
             raise ValueError(f"matrix object is missing {key!r}")
@@ -138,7 +176,7 @@ def matrix_from_dict(d: dict) -> MixingMatrix:
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     arr = _data_to_array(d["data"], field)
-    if arr.shape != (int(d["rows"]), int(d["cols"])):
+    if arr.shape != (_int(d["rows"], "matrix 'rows'"), _int(d["cols"], "matrix 'cols'")):
         raise ValueError(
             f"data shape {arr.shape} does not match rows/cols ({d['rows']}, {d['cols']})"
         )
@@ -150,11 +188,12 @@ def model_to_dict(model: dist.SourceModel) -> dict:
 
 
 def model_from_dict(d: dict) -> dist.SourceModel:
+    _object(d, "a source")
     if "family" not in d or "params" not in d:
         raise ValueError("source object needs 'family' and 'params'")
     return dist.SourceModel(
         family=d["family"],
-        params=dict(d["params"]),
+        params=dict(_object(d["params"], "'params'")),
         field=d.get("field", "real" if not str(d["family"]).startswith("complex") else "complex"),
     )
 
@@ -167,7 +206,13 @@ def sources_from_obj(obj) -> tuple[dist.SourceModel, ...]:
         obj = obj["sources"]
     if not isinstance(obj, list) or not obj:
         raise ValueError("sources must be a non-empty list")
-    return tuple(model_from_dict(d) for d in obj)
+    models = []
+    for i, d in enumerate(obj, 1):
+        try:
+            models.append(model_from_dict(d))
+        except ValueError as e:
+            raise ValueError(f"source {i}: {e}") from None
+    return tuple(models)
 
 
 def samples_csv_text(samples: np.ndarray) -> str:
@@ -197,7 +242,11 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
 
 
 def read_samples_csv(path):
-    """Read a samples CSV; returns (array, field)."""
+    """Read a samples CSV; returns (array, field).
+
+    Raises DegenerateData, naming the line and the column, on a NaN or
+    infinite value.
+    """
     text = Path(path).read_text()
     lines = [(i, ln) for i, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
@@ -223,6 +272,13 @@ def read_samples_csv(path):
             raise ValueError(f"line {i} has {len(fields)} fields, the header has {len(header)}")
         rows.append([float(v) for v in fields])
     raw = np.array(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(raw))
+    if bad.size:
+        row, col = bad[0]
+        i, ln = lines[row + 1]
+        raise DegenerateData(
+            f"line {i}, column {header[col]}: value {ln.split(',')[col].strip()!r} is not finite"
+        )
     if complex_field:
         return raw[:, 0::2] + 1j * raw[:, 1::2], "complex"
     return raw, "real"
@@ -284,8 +340,9 @@ def settings_from_dict(d: dict) -> EstimatorSettings:
     if unknown:
         raise ValueError(f"unknown estimator keys: {sorted(unknown)}")
     kwargs = dict(d)
-    if "spacing_m" in kwargs and kwargs["spacing_m"] is not None:
-        kwargs["spacing_m"] = int(kwargs["spacing_m"])
+    for key in ("knn_k", "spacing_m", "jitter_seed"):
+        if kwargs.get(key) is not None:
+            kwargs[key] = _int(kwargs[key], f"estimator {key!r}")
     if "tolerance_multiplier" in kwargs:
         kwargs["tolerance_multiplier"] = _denum(kwargs["tolerance_multiplier"])
     return EstimatorSettings(**kwargs)
@@ -305,6 +362,7 @@ def config_to_dict(config: EpiExperimentConfig) -> dict:
 def config_from_dict(d: dict, base_dir=None) -> EpiExperimentConfig:
     """Build an experiment config; ``matrix_path`` is resolved against
     ``base_dir`` (usually the config file's directory)."""
+    _object(d, "config")
     known = {"matrix", "matrix_path", "sources", "n_samples", "seed", "trials", "estimator"}
     unknown = set(d) - known
     if unknown:
@@ -314,6 +372,8 @@ def config_from_dict(d: dict, base_dir=None) -> EpiExperimentConfig:
     if "matrix" in d:
         matrix = matrix_from_dict(d["matrix"])
     else:
+        if not isinstance(d["matrix_path"], str):
+            raise ValueError(f"config 'matrix_path' must be a string, got {d['matrix_path']!r}")
         path = Path(d["matrix_path"])
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
@@ -323,10 +383,10 @@ def config_from_dict(d: dict, base_dir=None) -> EpiExperimentConfig:
     return EpiExperimentConfig(
         matrix=matrix,
         sources=sources_from_obj(d["sources"]),
-        n_samples=int(d["n_samples"]),
-        seed=int(d["seed"]),
-        trials=int(d.get("trials", 1)),
-        estimator=settings_from_dict(d.get("estimator", {})),
+        n_samples=_int(d["n_samples"], "config 'n_samples'"),
+        seed=_int(d["seed"], "config 'seed'"),
+        trials=_int(d.get("trials", 1), "config 'trials'"),
+        estimator=settings_from_dict(_object(d.get("estimator", {}), "config 'estimator'")),
     )
 
 

@@ -245,9 +245,9 @@ def _classify(arr: np.ndarray, tol: float | None) -> ComponentClassification:
     if rank < m:
         raise RankDeficient(f"matrix has rank {rank} < {m} rows")
     present = np.abs(arr).max(axis=0) > tol
-    rec = np.flatnonzero(present & (np.abs(arr.T @ X - eye).max(axis=0) <= tol))
+    rec = (present & (np.abs(arr.T @ X - eye).max(axis=0) <= tol)).nonzero()[0]
     return ComponentClassification(
-        present=tuple(np.flatnonzero(present).tolist()),
+        present=tuple(present.nonzero()[0].tolist()),
         recoverable=tuple(rec.tolist()),
         witnesses=X.T[rec],
         tolerance=float(tol),
@@ -272,8 +272,6 @@ def canonical_form(A, tol: float | None = None) -> CanonicalDecomposition:
         If some column of A is zero; absent components must be dropped
         before reduction.
     """
-    import scipy.linalg
-
     arr = as_array(A)
     m, n = arr.shape
     cls = _classify(arr, tol)
@@ -282,7 +280,8 @@ def canonical_form(A, tol: float | None = None) -> CanonicalDecomposition:
         raise ZeroColumn(f"columns {missing} are zero; remove absent components first")
 
     rec = list(cls.recoverable)
-    unrec = [j for j in range(n) if j not in set(rec)]
+    rec_set = set(rec)
+    unrec = [j for j in range(n) if j not in rec_set]
     perm = tuple(rec + unrec)
     r = len(rec)
 
@@ -293,8 +292,14 @@ def canonical_form(A, tol: float | None = None) -> CanonicalDecomposition:
         if r == m:
             B = top
         else:
-            # Rows x with x @ A[:, rec] = 0: null space of A[:, rec]^T.
-            bottom = scipy.linalg.null_space(arr[:, rec].T).T
+            # Rows x with x @ A[:, rec] = 0: the null space of A[:, rec]^T,
+            # by the rule of scipy.linalg.null_space (the gesdd driver, the
+            # eps * max(shape) cutoff).  On numpy 2.4.6 the rows equal scipy's
+            # bit for bit; test_matrix_analysis checks it.
+            a = arr[:, rec].T
+            _, s, vh = np.linalg.svd(a, full_matrices=True)
+            tol_s = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
+            bottom = vh[np.sum(s > tol_s):].conj()
             B = np.vstack([top, bottom])
 
     permuted = B @ arr[:, list(perm)]

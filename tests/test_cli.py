@@ -302,6 +302,55 @@ def test_malformed_json_exit_four(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_analyze_matrix_flat_data_exit_four(tmp_path, capsys):
+    fmt.write_json(tmp_path / "m.json", {"rows": 1, "cols": 2, "field": "real", "data": [1, 2]})
+    assert main(["analyze-matrix", "--input", str(tmp_path / "m.json")]) == 4
+    assert "ValueError: matrix data row 1 must be a list, got 1" in capsys.readouterr().err
+
+
+def test_analyze_matrix_ragged_data_names_row(tmp_path, capsys):
+    fmt.write_json(tmp_path / "m.json",
+                   {"rows": 2, "cols": 2, "field": "real", "data": [[1, 2], [3]]})
+    assert main(["analyze-matrix", "--input", str(tmp_path / "m.json")]) == 4
+    assert "matrix data row 2 has 1 entries, row 1 has 2" in capsys.readouterr().err
+
+
+def test_generate_source_not_an_object_exit_four(tmp_path, capsys):
+    fmt.write_json(tmp_path / "s.json", [1])
+    assert main(["generate", "--sources", str(tmp_path / "s.json"), "--n", "5"]) == 4
+    assert "source 1: a source must be a JSON object, got 1" in capsys.readouterr().err
+
+
+def test_generate_params_not_an_object_exit_four(tmp_path, capsys):
+    fmt.write_json(tmp_path / "s.json", [{"family": "uniform", "params": 3}])
+    assert main(["generate", "--sources", str(tmp_path / "s.json"), "--n", "5"]) == 4
+    assert "source 1: 'params' must be a JSON object, got 3" in capsys.readouterr().err
+
+
+def test_verify_epi_list_n_samples_exit_four(tmp_path, capsys):
+    cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))
+    cfg["n_samples"] = [2000]
+    fmt.write_json(tmp_path / "c.json", cfg)
+    assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
+    assert "config 'n_samples' must be an integer, got [2000]" in capsys.readouterr().err
+
+
+def test_verify_epi_string_knn_k_exit_four(tmp_path, capsys):
+    cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))
+    cfg["estimator"]["knn_k"] = "a"
+    fmt.write_json(tmp_path / "c.json", cfg)
+    assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
+    assert "estimator 'knn_k' must be an integer, got 'a'" in capsys.readouterr().err
+
+
+def test_entropy_non_finite_sample_names_line_and_column(tmp_path, capsys):
+    (tmp_path / "nan.csv").write_text("s1\n" + "".join(f"{i}.0\n" for i in range(50)) + "nan\n")
+    assert main(["entropy", "--input", str(tmp_path / "nan.csv"), "--method", "spacing"]) == 20
+    assert "DegenerateData: line 52, column s1: value 'nan' is not finite" in (
+        capsys.readouterr().err
+    )
+
+
 def test_help_via_console_script():
     cmd, env = console_script("--help")
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)

@@ -8,6 +8,7 @@ from mixent import (
     CanonicalDecomposition,
     ComponentClassification,
     ContrastDecomposition,
+    DegenerateData,
     EntropyEstimate,
     EpiExperimentConfig,
     EpiReport,
@@ -103,6 +104,23 @@ def test_matrix_from_dict_validation():
         fmt.matrix_from_dict(bad)
 
 
+@pytest.mark.parametrize("data, message", [
+    ([[1.0, None]], r"^matrix data row 1, entry 2: not a number: None$"),
+    ([[1.0, 0.0], [[0.5], 1.0]], r"^matrix data row 2, entry 1: not a number: \[0.5\]$"),
+    ({"0": [1.0]}, r"^matrix data must be a list of rows, got \{'0': \[1.0\]\}$"),
+])
+def test_matrix_from_dict_names_bad_entry(data, message):
+    d = {"rows": len(data), "cols": 2, "field": "real", "data": data}
+    with pytest.raises(ValueError, match=message):
+        fmt.matrix_from_dict(d)
+
+
+def test_matrix_from_dict_complex_entry_names_position():
+    d = {"rows": 1, "cols": 2, "field": "complex", "data": [[[1.0, 0.0], [1.0]]]}
+    with pytest.raises(ValueError, match=r"^matrix data row 1, entry 2: complex entries must be"):
+        fmt.matrix_from_dict(d)
+
+
 def test_model_round_trip_all_families():
     from mixent import (
         circular_gaussian,
@@ -172,6 +190,13 @@ def test_samples_csv_ragged_row_names_line(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("s1,s2\n1.0,2.0\n\n3.0\n")
     with pytest.raises(ValueError, match=r"^line 4 has 1 fields, the header has 2$"):
+        fmt.read_samples_csv(path)
+
+
+def test_samples_csv_non_finite_names_line_and_column(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("s1_re,s1_im,s2_re,s2_im\n1.0,2.0,3.0,4.0\n\n5.0,6.0,7.0,-inf\n")
+    with pytest.raises(DegenerateData, match=r"^line 4, column s2_im: value '-inf' is not finite$"):
         fmt.read_samples_csv(path)
 
 

@@ -79,7 +79,7 @@ def verb_inputs(tmp_path_factory):
 VERB_CASES = {
     "generate": (["generate", "--sources", "sources.json", "--n", "200", "--mix", "mix.json"],
                  {"special"}),
-    "analyze-matrix": (["analyze-matrix", "--input", "matrix.json"], {"linalg"}),
+    "analyze-matrix": (["analyze-matrix", "--input", "matrix.json"], set()),
     "entropy-spacing": (["entropy", "--method", "spacing", "--input", "scalar.csv"], set()),
     "entropy-knn": (["entropy", "--method", "knn", "--input", "mixed.csv"],
                     {"spatial", "special"}),
@@ -128,6 +128,25 @@ def test_first_call_in_fresh_process_matches(expr):
     before, fresh = json.loads(run_fresh(code))
     assert before == []
     assert fresh == repr(eval(expr))
+
+
+def test_matrix_analysis_loads_no_scipy_but_gram_schmidt():
+    code = """
+import sys
+import numpy as np
+import mixent
+
+A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+mixent.classify_components(A)
+dec = mixent.canonical_form(A)
+assert dec.r == 1 and dec.B.shape == (2, 2), dec
+mixent.canonical_form(A * (1.0 + 1.0j))
+mixent.orthogonal_complement(np.array([[1.0, 0.0, 0.0]]))
+assert not any(k.startswith("scipy") for k in sys.modules)
+mixent.gram_schmidt_rows(A)
+"""
+    loaded, _ = loaded_after(code)
+    assert "linalg" in loaded
 
 
 def test_optimize_and_integrate_load_only_for_the_mixture():

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -509,3 +510,96 @@ def test_canonical_form_reconstructs_and_round_trips(A):
     back = json.loads(canonical_json(cls_dict))
     assert back == cls_dict
     assert classification_to_dict(classification_from_dict(back)) == cls_dict
+
+
+def _check_annihilator(A, dec):
+    """The bottom rows of B: m - r orthonormal rows that zero the recoverable
+    columns; returns them."""
+    m = A.shape[0]
+    rec = list(dec.permutation[: dec.r])
+    bottom = dec.B[dec.r :]
+    assert bottom.shape == (m - dec.r, m)
+    assert np.abs(bottom @ bottom.conj().T - np.eye(m - dec.r)).max(initial=0.0) <= 1e-12
+    assert np.abs(bottom @ A[:, rec]).max(initial=0.0) <= 1e-12
+    return bottom
+
+
+def _compare_annihilator(A, dec, same_build):
+    bottom = _check_annihilator(A, dec)
+    if same_build:
+        ref = scipy.linalg.null_space(A[:, list(dec.permutation[: dec.r])].T).T
+        assert ref.dtype == bottom.dtype and ref.shape == bottom.shape
+        assert ref.tobytes() == bottom.tobytes()
+
+
+def test_canonical_annihilator_matches_scipy_null_space():
+    """The annihilator rows are those of ``scipy.linalg.null_space``, bit for
+    bit, on the numpy 2.4.6 build (the one the golden digest was recorded
+    with); on every build they are orthonormal and zero the recoverable
+    columns."""
+    same_build = np.__version__ == "2.4.6"
+    gen = np.random.Generator(np.random.Philox(105))
+    checked = {"real": 0, "complex": 0, "signs": 0}
+    # Shapes with 0 < r < m; a square full-rank matrix has r = m.
+    for m, n in [(m, n) for m, n in SMALL_SHAPES if 2 <= m < n]:
+        for r in range(1, m):
+            for complex_field in (False, True):
+                for _ in range(10):
+                    A = _planted(gen, m, n, r, complex_field)
+                    dec = canonical_form(A)
+                    assert dec.r == r
+                    _compare_annihilator(A, dec, same_build)
+                    checked["complex" if complex_field else "real"] += 1
+        kept = 0
+        while kept < 12:
+            A = gen.integers(-1, 2, size=(m, n)).astype(float)
+            if rank_of(A) < m or not np.abs(A).max(axis=0).all():
+                continue
+            dec = canonical_form(A)
+            if 0 < dec.r < m:
+                _compare_annihilator(A, dec, same_build)
+                checked["signs"] += 1
+                kept += 1
+    assert checked == {"real": 40, "complex": 40, "signs": 36}
+
+
+GAUSSIAN_UNITS = [1.0, -1.0, 1j, -1j]
+
+
+@st.composite
+def complex_planted(draw):
+    """B0^-1 [[I_r, 0], [0, tail]] with columns reordered, for a Gaussian-integer
+    unimodular B0 and a Gaussian-integer tail; returns (A, planted columns)."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 4))
+    r = draw(st.integers(0, m if n == m else m - 1))
+    core = np.zeros((m, n), dtype=np.complex128)
+    core[:r, :r] = np.eye(r)
+    parts = st.sampled_from([-1.0, 0.0, 1.0])
+    for i in range(r, m):
+        for j in range(r, n):
+            core[i, j] = complex(draw(parts), draw(parts))
+    B0 = np.eye(m, dtype=np.complex128)
+    for _ in range(draw(st.integers(0, 5))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if i != j:
+            B0[i] += draw(st.sampled_from(GAUSSIAN_UNITS)) * B0[j]
+        else:
+            B0[i] *= draw(st.sampled_from(GAUSSIAN_UNITS))
+    order = draw(st.permutations(range(n)))
+    A = np.linalg.solve(B0, core)[:, order]
+    assume(rank_of(A) == m and np.abs(A).max(axis=0).all())
+    return A, {k for k, j in enumerate(order) if j < r}
+
+
+@PROPERTY_SETTINGS
+@given(planted=complex_planted())
+def test_canonical_form_of_complex_planted_matrix(planted):
+    A, planted_rec = planted
+    dec = canonical_form(A)
+    assert dec.field == "complex"
+    rec = dec.permutation[: dec.r]
+    assert planted_rec <= set(rec)
+    assert rec == classify_components(A).recoverable
+    assert_allclose(dec.B @ A[:, list(dec.permutation)], dec.block_matrix(), atol=1e-10)
+    _check_annihilator(A, dec)
