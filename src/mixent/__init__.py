@@ -56,6 +56,7 @@ from .distributions import (
     quantile_transport,
     radial_transport,
     sample,
+    sample_sources,
     scale_model,
     transport_log_derivative_expectation,
     uniform,
@@ -64,6 +65,7 @@ from .distributions import (
 )
 from .entropy import (
     EntropyEstimate,
+    EstimatorSettings,
     GaussianSurrogate,
     gaussian_mix_entropy,
     knn_entropy,
@@ -75,13 +77,11 @@ from .epi_lab import (
     EpiReport,
     EqualityCaseResult,
     EqualitySuiteReport,
-    EstimatorSettings,
     LemmaSweepReport,
     expectation_inequality_check,
     run_epi_trial,
     run_equality_suite,
     run_lemma2_sweep,
-    sample_sources,
 )
 from .errors import (
     AlreadySquare,

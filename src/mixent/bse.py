@@ -14,26 +14,25 @@ rotations of an orthonormal frame, estimating marginal entropies by spacings
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import distributions as dist
 from .entropy import (
+    EstimatorSettings,
     _knn_value,
     _require_finite,
     default_spacing_window,
-    knn_entropy,
-    spacing_entropy,
+    estimate_entropy,
     spacing_entropy_value,
 )
-from .epi_lab import EstimatorSettings, sample_sources
 from .errors import (
     RankDeficient,
     SingularCovariance,
     TooFewSamples,
 )
-from .matrix_analysis import MixingMatrix, as_array, rank_of
+from .matrix_analysis import as_array, rank_of
 from .rng import generator
 
 __all__ = [
@@ -453,7 +452,7 @@ def oracle_decompose(
         If the source entropies are not all equal (normalize them first).
     """
     settings = settings or EstimatorSettings()
-    M = mixing.array if isinstance(mixing, MixingMatrix) else as_array(mixing)
+    M = as_array(mixing)
     sources = list(sources)
     if len(sources) != M.shape[1]:
         raise ValueError("need one source per mixing column")
@@ -465,18 +464,12 @@ def oracle_decompose(
     field = sources[0].field
     Warr = np.asarray(W, dtype=np.complex128 if field == "complex" else np.float64)
     m = Warr.shape[0]
-    X = sample_sources(sources, n_samples, seed)
+    X = dist.sample_sources(sources, n_samples, seed)
     Y = X @ M.T
     Z = Y @ Warr.T
     A = Warr @ M
 
-    if field == "real":
-        estimates = [spacing_entropy(Z[:, i], m=settings.spacing_m) for i in range(m)]
-    else:
-        estimates = [
-            knn_entropy(Z[:, [i]], k=settings.knn_k, seed=settings.jitter_seed)
-            for i in range(m)
-        ]
+    estimates = [estimate_entropy(Z[:, [i]], field, settings) for i in range(m)]
     hsum = sum(e.value for e in estimates)
     coeff = 0.5 if field == "real" else 1.0
     # The identity below is exact except for the sample-covariance log-det,

@@ -34,9 +34,10 @@ from pathlib import Path
 
 from . import formats
 from .bse import Observation, minimize_contrast, separation_quality
+from .distributions import check_sources, sample_sources
 from .entropy import knn_entropy, spacing_entropy
-from .epi_lab import run_epi_trial, sample_sources
-from .errors import MixentError, UnsupportedFamily, UsageError
+from .epi_lab import run_epi_trial
+from .errors import MixentError, UsageError
 from .matrix_analysis import canonical_form, classify_components, rank_of
 
 __all__ = ["main"]
@@ -68,15 +69,7 @@ def _cmd_generate(args) -> int:
     X = sample_sources(sources, args.n, args.seed)
     if args.mix is not None:
         matrix = formats.matrix_from_dict(formats.read_json(args.mix))
-        if matrix.cols != len(sources):
-            raise ValueError(
-                f"mixing matrix has {matrix.cols} columns for {len(sources)} sources"
-            )
-        for s in sources:
-            if s.field != matrix.field:
-                raise UnsupportedFamily(
-                    f"source family {s.family!r} does not match the {matrix.field} matrix"
-                )
+        check_sources(sources, matrix.field, matrix.cols)
         X = X @ matrix.array.T
     _emit(formats.samples_csv_text(X), args.out)
     return 0

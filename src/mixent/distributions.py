@@ -37,8 +37,9 @@ __all__ = [
     "unit_variance_uniform",
     "exact_entropy",
     "variance",
-    "mean",
     "sample",
+    "sample_sources",
+    "check_sources",
     "scale_model",
     "normalize_entropies",
     "match_entropy",
@@ -232,22 +233,6 @@ def _mixture_entropy(p: dict) -> float:
     return float(val)
 
 
-def mean(model: SourceModel):
-    """Mean of the model (complex models are zero-mean by symmetry)."""
-    p = model.params
-    if model.family == "gaussian":
-        return p.get("mu", 0.0)
-    if model.family == "uniform":
-        return 0.5 * (p["low"] + p["high"])
-    if model.family == "laplace":
-        return p.get("mu", 0.0)
-    if model.family == "exponential":
-        return 1.0 / p["rate"]
-    if model.family == "gaussian_mixture_2":
-        return float(np.dot(p["weights"], p["mus"]))
-    return 0.0 + 0.0j
-
-
 def variance(model: SourceModel) -> float:
     """Central second moment; for complex models, E|X - EX|^2."""
     p = model.params
@@ -315,6 +300,37 @@ def sample(model: SourceModel, n_samples: int, seed: int, stream: int = 0) -> np
         ang = 2 * math.pi * u2
         return r * np.exp(1j * ang)
     raise UnsupportedFamily(model.family)
+
+
+def sample_sources(
+    sources, n_samples: int, seed: int, trial: int = 0
+) -> np.ndarray:
+    """Sample an (n_samples, n) matrix, one column per source model.
+
+    Column j of trial t uses the derived stream t * 2^20 + j, so trials and
+    components are independent and reproducible.  All models must live over
+    the same field (else ``UnsupportedFamily``).
+    """
+    sources = list(sources)
+    if len({s.field for s in sources}) > 1:
+        raise UnsupportedFamily("cannot sample models over mixed fields into one array")
+    dtype = np.complex128 if sources[0].field == "complex" else np.float64
+    out = np.empty((n_samples, len(sources)), dtype=dtype)
+    for j, s in enumerate(sources):
+        out[:, j] = sample(s, n_samples, seed, stream=(trial << 20) | j)
+    return out
+
+
+def check_sources(sources, field: str, cols: int) -> None:
+    """Require one model over ``field`` per column of a ``cols``-column
+    mixing matrix: ValueError for a wrong count, else UnsupportedFamily."""
+    if len(sources) != cols:
+        raise ValueError(f"need one source per column: {len(sources)} sources for {cols} columns")
+    for s in sources:
+        if s.field != field:
+            raise UnsupportedFamily(
+                f"source family {s.family!r} does not match the {field} matrix field"
+            )
 
 
 def scale_model(model: SourceModel, c: float) -> SourceModel:

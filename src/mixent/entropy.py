@@ -26,20 +26,39 @@ import numpy as np
 
 from .complex_embedding import embed_samples
 from .errors import DegenerateData, DuplicatePoints, RankDeficient, TooFewSamples
-from .matrix_analysis import MixingMatrix, as_array
+from .matrix_analysis import as_array
 from .rng import generator, uniform_open
 
 __all__ = [
+    "EstimatorSettings",
     "EntropyEstimate",
     "GaussianSurrogate",
     "spacing_entropy",
     "spacing_entropy_value",
     "knn_entropy",
+    "estimate_entropy",
     "surrogate_sigma",
     "gaussian_mix_entropy",
 ]
 
 _SHUFFLE_SEED = 0x5EB10C5
+
+
+@dataclass(frozen=True)
+class EstimatorSettings:
+    """Estimator choices shared by the experiment harness and extraction.
+
+    ``tolerance_multiplier`` scales the gap standard error into the
+    violation tolerance.
+    """
+
+    knn_k: int = 4
+    spacing_m: int | None = None
+    tolerance_multiplier: float = 3.0
+    jitter_seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "tolerance_multiplier", float(self.tolerance_multiplier))
 
 
 @dataclass(frozen=True)
@@ -235,6 +254,15 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
     return EntropyEstimate(value=value, method="knn", n_samples=n, params={"k": int(k)}, std_error=se)
 
 
+def estimate_entropy(Y: np.ndarray, field: str, settings: EstimatorSettings) -> EntropyEstimate:
+    """Joint entropy of the (N, d) sample ``Y`` over ``field``: spacings for
+    one real column, k-nearest neighbors otherwise (complex data through the
+    real embedding)."""
+    if field == "real" and Y.shape[1] == 1:
+        return spacing_entropy(Y[:, 0], m=settings.spacing_m)
+    return knn_entropy(Y, k=settings.knn_k, seed=settings.jitter_seed)
+
+
 def surrogate_sigma(entropy_nats: float, field: str = "real") -> GaussianSurrogate:
     """Scale of the Gaussian whose entropy equals ``entropy_nats``.
 
@@ -262,12 +290,8 @@ def gaussian_mix_entropy(A, sigmas, field: str | None = None) -> float:
     RankDeficient
         If A S A^H is singular, where the entropy is minus infinity.
     """
-    if isinstance(A, MixingMatrix):
-        fld = A.field
-        arr = A.array
-    else:
-        arr = as_array(A)
-        fld = field if field is not None else ("complex" if np.iscomplexobj(arr) else "real")
+    arr = as_array(A)
+    fld = field if field is not None else ("complex" if np.iscomplexobj(arr) else "real")
     sig = np.asarray(sigmas, dtype=np.float64)
     if sig.ndim != 1 or sig.size != arr.shape[1]:
         raise ValueError("sigmas must have one entry per column of A")

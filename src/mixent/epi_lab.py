@@ -23,9 +23,9 @@ from . import distributions as dist
 from .complex_embedding import hat_embed
 from .entropy import (
     EntropyEstimate,
+    EstimatorSettings,
+    estimate_entropy,
     gaussian_mix_entropy,
-    knn_entropy,
-    spacing_entropy,
     surrogate_sigma,
 )
 from .errors import RankDeficient, UnsupportedFamily
@@ -41,7 +41,6 @@ from .matrix_analysis import (
 from .rng import generator, uniform_open
 
 __all__ = [
-    "EstimatorSettings",
     "EpiExperimentConfig",
     "EpiReport",
     "EqualityCaseResult",
@@ -51,27 +50,9 @@ __all__ = [
     "run_equality_suite",
     "run_lemma2_sweep",
     "expectation_inequality_check",
-    "sample_sources",
 ]
 
 _GAUSSIAN_FAMILIES = {"gaussian", "complex_circular_gaussian"}
-
-
-@dataclass(frozen=True)
-class EstimatorSettings:
-    """Estimator choices shared by the experiment harness.
-
-    ``tolerance_multiplier`` scales the gap standard error into the
-    violation tolerance.
-    """
-
-    knn_k: int = 4
-    spacing_m: int | None = None
-    tolerance_multiplier: float = 3.0
-    jitter_seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "tolerance_multiplier", float(self.tolerance_multiplier))
 
 
 @dataclass(frozen=True)
@@ -92,15 +73,7 @@ class EpiExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        if len(self.sources) != self.matrix.cols:
-            raise ValueError(
-                f"need one source per column: {len(self.sources)} sources for {self.matrix.cols} columns"
-            )
-        for s in self.sources:
-            if s.field != self.matrix.field:
-                raise UnsupportedFamily(
-                    f"source family {s.family!r} does not match the {self.matrix.field} matrix field"
-                )
+        dist.check_sources(self.sources, self.matrix.field, self.matrix.cols)
         if self.n_samples < 1000:
             raise ValueError("n_samples must be at least 1000")
         if self.trials < 1:
@@ -131,40 +104,12 @@ class EpiReport:
     seed: int
 
 
-def sample_sources(
-    sources, n_samples: int, seed: int, trial: int = 0
-) -> np.ndarray:
-    """Sample an (n_samples, n) matrix, one column per source model.
-
-    Column j of trial t uses the derived stream t * 2^20 + j, so trials and
-    components are independent and reproducible.  All models must live over
-    the same field (else ``UnsupportedFamily``).
-    """
-    sources = list(sources)
-    if len({s.field for s in sources}) > 1:
-        raise UnsupportedFamily("cannot sample models over mixed fields into one array")
-    dtype = np.complex128 if sources[0].field == "complex" else np.float64
-    out = np.empty((n_samples, len(sources)), dtype=dtype)
-    for j, s in enumerate(sources):
-        out[:, j] = dist.sample(s, n_samples, seed, stream=(trial << 20) | j)
-    return out
-
-
-def _estimate_mixture_entropy(Y: np.ndarray, field: str, est: EstimatorSettings) -> EntropyEstimate:
-    if field == "complex":
-        return knn_entropy(Y, k=est.knn_k, seed=est.jitter_seed)
-    if Y.shape[1] == 1:
-        return spacing_entropy(Y[:, 0], m=est.spacing_m)
-    return knn_entropy(Y, k=est.knn_k, seed=est.jitter_seed)
-
-
 def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
     """Estimate the mixture entropy gap and issue a verdict.
 
-    The left side is estimated per trial (spacing for one real output row,
-    k-nearest-neighbor jointly otherwise, complex data through the real
-    embedding); the right side is the closed-form Gaussian mixture entropy
-    with per-component surrogate scales.  The verdict flags a violation only
+    The left side is estimated per trial by :func:`estimate_entropy`; the
+    right side is the closed-form Gaussian mixture entropy with
+    per-component surrogate scales.  The verdict flags a violation only
     when the gap falls below minus ``tolerance_multiplier`` standard errors.
     """
     A = config.matrix
@@ -199,9 +144,9 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
     method = None
     params: dict = {}
     for t in range(config.trials):
-        X = sample_sources(config.sources, config.n_samples, config.seed, trial=t)
+        X = dist.sample_sources(config.sources, config.n_samples, config.seed, trial=t)
         Y = X @ A.array.T
-        e = _estimate_mixture_entropy(Y, A.field, est)
+        e = estimate_entropy(Y, A.field, est)
         values.append(e.value)
         errors.append(e.std_error)
         method, params = e.method, e.params

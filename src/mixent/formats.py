@@ -21,8 +21,8 @@ import numpy as np
 
 from . import distributions as dist
 from .bse import ContrastDecomposition, ExtractionResult, SeparationQuality
-from .entropy import EntropyEstimate
-from .epi_lab import EpiExperimentConfig, EpiReport, EstimatorSettings
+from .entropy import EntropyEstimate, EstimatorSettings
+from .epi_lab import EpiExperimentConfig, EpiReport
 from .errors import DegenerateData
 from .matrix_analysis import (
     CanonicalDecomposition,
@@ -194,7 +194,7 @@ def model_from_dict(d: dict) -> dist.SourceModel:
     return dist.SourceModel(
         family=d["family"],
         params=dict(_object(d["params"], "'params'")),
-        field=d.get("field", "real" if not str(d["family"]).startswith("complex") else "complex"),
+        field=d.get("field", "complex" if d["family"] in dist._COMPLEX_FAMILIES else "real"),
     )
 
 

@@ -20,7 +20,7 @@ mixture rather than of a particular coordinate system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,13 +167,11 @@ class CanonicalDecomposition:
 class OrthonormalReduction:
     """Row orthonormalization A = L^{-1} Q with L lower triangular.
 
-    ``Q = L A`` has orthonormal rows; ``complement``, when computed, stacks
-    extra rows making [Q; complement] square with orthonormal rows.
+    ``Q = L A`` has orthonormal rows.
     """
 
     L: np.ndarray
     Q: np.ndarray
-    complement: np.ndarray | None = dc_field(default=None)
 
 
 def rank_of(A) -> int:
