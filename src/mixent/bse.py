@@ -449,19 +449,24 @@ def oracle_decompose(
     Raises
     ------
     ValueError
-        If the source entropies are not all equal (normalize them first).
+        If the source entropies are not all equal (normalize them first), or
+        there is not one source per mixing column.
+    UnsupportedFamily
+        Real sources under a complex mixing matrix, or sources of both fields.
     """
     settings = settings or EstimatorSettings()
     M = as_array(mixing)
     sources = list(sources)
-    if len(sources) != M.shape[1]:
-        raise ValueError("need one source per mixing column")
+    # A real matrix mixes sources of either field, a complex one complex sources only.
+    field = sources[0].field if sources else "real"
+    if np.iscomplexobj(M):
+        field = "complex"
+    dist.check_sources(sources, field, M.shape[1])
     hs = [dist.exact_entropy(s) for s in sources]
     h_common = hs[0]
     if max(abs(h - h_common) for h in hs) > 1e-9:
         raise ValueError("sources must share a common entropy; normalize them first")
 
-    field = sources[0].field
     Warr = np.asarray(W, dtype=np.complex128 if field == "complex" else np.float64)
     m = Warr.shape[0]
     X = dist.sample_sources(sources, n_samples, seed)

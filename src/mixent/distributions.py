@@ -84,40 +84,61 @@ class SourceModel:
         _validate_params(self.family, self.params)
 
 
-def _positive(params: dict, key: str) -> float:
-    v = float(params[key])
-    if not (v > 0 and math.isfinite(v)):
-        raise ValueError(f"parameter {key!r} must be positive and finite, got {v}")
-    return v
+# Required parameters per family; gaussian and laplace also take an optional "mu".
+_PARAMS = {
+    "gaussian": ("sigma",),
+    "uniform": ("low", "high"),
+    "laplace": ("scale",),
+    "exponential": ("rate",),
+    "gaussian_mixture_2": ("weights", "mus", "sigmas"),
+    "complex_circular_gaussian": ("sigma",),
+    "complex_uniform_disk": ("radius",),
+}
+
+
+def _number(family: str, key: str, v) -> float:
+    # An int, a float or a numpy real scalar; a bool or a str is not a number.
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{family} parameter {key!r} must be a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{family} parameter {key!r} must be finite, got {v!r}")
+    return x
 
 
 def _validate_params(family: str, params: dict) -> None:
-    if family == "gaussian":
-        _positive(params, "sigma")
-        float(params.get("mu", 0.0))
-    elif family == "uniform":
-        low, high = float(params["low"]), float(params["high"])
-        if not (math.isfinite(low) and math.isfinite(high) and high > low):
-            raise ValueError("uniform requires finite low < high")
-    elif family == "laplace":
-        _positive(params, "scale")
-        float(params.get("mu", 0.0))
-    elif family == "exponential":
-        _positive(params, "rate")
-    elif family == "gaussian_mixture_2":
-        w = [float(x) for x in params["weights"]]
-        mus = [float(x) for x in params["mus"]]
-        sigmas = [float(x) for x in params["sigmas"]]
-        if len(w) != 2 or len(mus) != 2 or len(sigmas) != 2:
-            raise ValueError("gaussian_mixture_2 requires two weights, mus, sigmas")
-        if min(w) <= 0 or abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError("weights must be positive and sum to 1")
-        if min(sigmas) <= 0:
-            raise ValueError("sigmas must be positive")
-    elif family == "complex_circular_gaussian":
-        _positive(params, "sigma")
-    elif family == "complex_uniform_disk":
-        _positive(params, "radius")
+    """Raise ValueError, naming the family and the key, unless every
+    parameter is present, finite and in range.  The params stay as given."""
+    keys = _PARAMS[family]
+    if family in ("gaussian", "laplace") and "mu" in params:
+        keys += ("mu",)
+    p = {}
+    for key in keys:
+        if key not in params:
+            raise ValueError(f"{family} requires parameter {key!r}")
+        v = params[key]
+        if key in ("weights", "mus", "sigmas"):
+            v = v.tolist() if isinstance(v, np.ndarray) else v
+            if not isinstance(v, (list, tuple)) or len(v) != 2:
+                raise ValueError(
+                    f"{family} parameter {key!r} must be a list of two numbers, got {v!r}"
+                )
+            p[key] = [_number(family, key, x) for x in v]
+        else:
+            p[key] = _number(family, key, v)
+    for key in ("sigma", "scale", "rate", "radius"):
+        if key in p and not p[key] > 0:
+            raise ValueError(f"{family} parameter {key!r} must be positive, got {p[key]}")
+    if family == "uniform" and not p["high"] > p["low"]:
+        raise ValueError("uniform parameters need 'low' < 'high'")
+    if family == "gaussian_mixture_2":
+        if min(p["weights"]) <= 0 or abs(sum(p["weights"]) - 1.0) > 1e-12:
+            raise ValueError(f"{family} parameter 'weights' must be positive and sum to 1")
+        if min(p["sigmas"]) <= 0:
+            raise ValueError(f"{family} parameter 'sigmas' must be positive")
 
 
 def gaussian(sigma: float = 1.0, mu: float = 0.0) -> SourceModel:

@@ -11,6 +11,7 @@ from mixent import (
     RankDeficient,
     SingularCovariance,
     TooFewSamples,
+    UnsupportedFamily,
     contrast,
     gaussian,
     laplace,
@@ -384,6 +385,17 @@ def test_oracle_decompose_rejects_unequal_entropies():
         oracle_decompose(
             AVG_ROW, np.eye(2), [uniform(0.0, 1.0), gaussian(1.0)], n_samples=2000, seed=0
         )
+
+
+def test_oracle_decompose_source_field_against_matrix():
+    mix = [[1.0, 1.0j], [0.5, 1.0]]
+    with pytest.raises(UnsupportedFamily, match="'gaussian' does not match the complex"):
+        oracle_decompose(np.eye(2)[:1], mix, [gaussian(1.0)] * 2, n_samples=2000, seed=0)
+    # A real mixing array may mix complex sources.
+    d = oracle_decompose(
+        np.eye(2)[:1], np.eye(2), [uniform_disk(1.0)] * 2, n_samples=2000, seed=0
+    )
+    assert np.isfinite(d.contrast_value)
 
 
 def test_separation_quality_identity():

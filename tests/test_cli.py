@@ -327,6 +327,26 @@ def test_generate_params_not_an_object_exit_four(tmp_path, capsys):
     assert "source 1: 'params' must be a JSON object, got 3" in capsys.readouterr().err
 
 
+# Raw JSON text, so that 1e400 reaches the reader, which parses it as inf.
+@pytest.mark.parametrize("source, message", [
+    ('{"family": "gaussian", "params": {}}', "gaussian requires parameter 'sigma'"),
+    ('{"family": "gaussian", "params": {"sigma": [1]}}',
+     "gaussian parameter 'sigma' must be a number, got [1]"),
+    ('{"family": "gaussian_mixture_2", "params": {"weights": 1, "mus": [0, 1], "sigmas": [1, 1]}}',
+     "gaussian_mixture_2 parameter 'weights' must be a list of two numbers, got 1"),
+    ('{"family": "gaussian", "params": {"sigma": "2"}}',
+     "gaussian parameter 'sigma' must be a number, got '2'"),
+    ('{"family": "laplace", "params": {"scale": 1, "mu": 1e400}}',
+     "laplace parameter 'mu' must be finite, got inf"),
+], ids=["missing", "list", "mixture-scalar", "string", "overflow"])
+def test_generate_bad_params_exit_four(tmp_path, capsys, source, message):
+    (tmp_path / "s.json").write_text(f"[{source}]")
+    assert main(["generate", "--sources", str(tmp_path / "s.json"), "--n", "5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"source 1: {message}" in captured.err
+
+
 def test_verify_epi_list_n_samples_exit_four(tmp_path, capsys):
     cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))
     cfg["n_samples"] = [2000]

@@ -1,11 +1,13 @@
-"""Which scipy submodules a fresh process loads.
+"""Which scipy submodules a fresh process loads, and how the package's
+modules import each other.
 
 scipy submodules are imported inside the functions that call them, so
 importing the package loads none and each verb loads only what it runs.
-Every test starts a fresh interpreter with this checkout's ``src`` on the
-path, because the test process itself has scipy loaded already.
+Every scipy test starts a fresh interpreter with this checkout's ``src`` on
+the path, because the test process itself has scipy loaded already.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -175,3 +177,37 @@ dist.exact_entropy(mix)
 assert "integrate" in loaded(), sorted(loaded())
 """
     loaded_after(code)
+
+
+# Each module imports only from lower layers, so extraction (bse) and the
+# verification harness (epi_lab) share one layer and never import each other.
+LAYERS = (
+    ("errors", "rng"),
+    ("complex_embedding",),
+    ("matrix_analysis",),
+    ("distributions",),
+    ("entropy",),
+    ("epi_lab", "bse"),
+    ("formats",),
+    ("cli",),
+)
+
+
+def relative_imports(path):
+    """The package modules a source file imports, at any depth of the file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_modules_import_only_lower_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    for path in sorted(Path(mixent.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        assert path.stem in layer, f"mixent.{path.stem} has no layer"
+        for target in relative_imports(path):
+            assert layer[target] < layer[path.stem], f"mixent.{path.stem} imports .{target}"
