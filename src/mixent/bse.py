@@ -21,6 +21,7 @@ import numpy as np
 from . import distributions as dist
 from .entropy import (
     EstimatorSettings,
+    SpacingWorkspace,
     _knn_value,
     _require_finite,
     default_spacing_window,
@@ -31,6 +32,7 @@ from .errors import (
     RankDeficient,
     SingularCovariance,
     TooFewSamples,
+    UnsupportedFamily,
 )
 from .matrix_analysis import as_array, rank_of
 from .rng import generator
@@ -114,10 +116,13 @@ def whiten(obs: Observation):
     return Observation(samples=yc @ C.T, field=obs.field), C
 
 
+def _spacing_window(n: int, settings: EstimatorSettings) -> int:
+    return settings.spacing_m or default_spacing_window(n)
+
+
 def _marginal_entropy_value(z: np.ndarray, field: str, settings: EstimatorSettings) -> float:
     if field == "real":
-        m = settings.spacing_m or default_spacing_window(z.shape[0])
-        return spacing_entropy_value(z, m)
+        return spacing_entropy_value(z, _spacing_window(z.shape[0], settings))
     return _knn_value(np.column_stack((z.real, z.imag)), settings.knn_k)
 
 
@@ -126,6 +131,13 @@ def _check_spacing_window(obs: Observation, settings: EstimatorSettings) -> None
     m, half = settings.spacing_m, obs.samples.shape[0] // 2
     if obs.field == "real" and m is not None and not 1 <= m <= half:
         raise ValueError(f"window m={m} out of range [1, {half}]")
+
+
+def _demixer_array(W, field: str) -> np.ndarray:
+    arr = np.asarray(W)
+    if field == "real" and np.iscomplexobj(arr):
+        raise UnsupportedFamily("complex demixing matrix for real data")
+    return np.asarray(arr, dtype=np.complex128 if field == "complex" else np.float64)
 
 
 def _logdet_block_std_error(Y: np.ndarray, W: np.ndarray, coeff: float, blocks: int = 10) -> float:
@@ -158,12 +170,14 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
     ------
     RankDeficient
         If W has linearly dependent rows.
+    UnsupportedFamily
+        A complex W for real data.
     ValueError
         Real data with ``settings.spacing_m`` outside [1, N // 2].
     """
     settings = settings or EstimatorSettings()
     _check_spacing_window(obs, settings)
-    arr = np.asarray(W, dtype=np.complex128 if obs.field == "complex" else np.float64)
+    arr = _demixer_array(W, obs.field)
     if arr.ndim != 2 or arr.shape[1] != obs.samples.shape[1]:
         raise ValueError("W must be a matrix with one column per observed channel")
     if rank_of(arr) < arr.shape[0]:
@@ -231,6 +245,14 @@ def _haar_unitary(rng: np.random.Generator, n: int, complex_field: bool) -> np.n
     return q * (d / np.abs(d))
 
 
+def _combine(out: np.ndarray, tmp: np.ndarray, a: float, x: np.ndarray, b: float, y: np.ndarray):
+    """Write ``a * x + b * y`` into ``out``, rounded as that expression is;
+    ``tmp`` is scratch."""
+    np.multiply(x, a, out=out)
+    np.multiply(y, b, out=tmp)
+    return np.add(out, tmp, out=out)
+
+
 @dataclass(frozen=True)
 class ExtractionResult:
     """Best demixing matrix found together with the search trace.
@@ -268,6 +290,13 @@ def _optimize_frame(
     Z = np.ascontiguousarray((Yw @ U.T).T)
     hvals = np.array([_marginal_entropy_value(Z[i], field, settings) for i in range(m)])
     complex_field = field == "complex"
+    if not complex_field:
+        # The real search writes each rotated row into one of two buffers,
+        # which the spacing estimate then sorts in place within ``work``.
+        N = Z.shape[1]
+        window = _spacing_window(N, settings)
+        work = SpacingWorkspace(N, window)
+        bp, bq = np.empty(N), np.empty(N)
     trace = [float(hvals.sum())]
     converged = False
     sweeps = 0
@@ -285,12 +314,18 @@ def _optimize_frame(
 
                 def f_theta(t, phase=1.0):
                     c, s = math.cos(t), math.sin(t)
-                    v = hp = _marginal_entropy_value(c * zp + (s * phase) * zq, field, settings)
                     hq = None
+                    if complex_field:
+                        v = hp = _marginal_entropy_value(c * zp + (s * phase) * zq, field, settings)
+                        if include_q:
+                            hq = _marginal_entropy_value(
+                                (-s * np.conj(phase)) * zp + c * zq, field, settings
+                            )
+                    else:
+                        v = hp = spacing_entropy_value(_combine(bp, bq, c, zp, s, zq), window, work)
+                        if include_q:
+                            hq = spacing_entropy_value(_combine(bq, bp, -s, zp, c, zq), window, work)
                     if include_q:
-                        hq = _marginal_entropy_value(
-                            (-s * np.conj(phase)) * zp + c * zq, field, settings
-                        )
                         v += hq
                     scored[t, phase] = hp, hq
                     return v
@@ -452,7 +487,8 @@ def oracle_decompose(
         If the source entropies are not all equal (normalize them first), or
         there is not one source per mixing column.
     UnsupportedFamily
-        Real sources under a complex mixing matrix, or sources of both fields.
+        Real sources under a complex mixing matrix, sources of both fields,
+        or a complex W for real sources under a real mixing matrix.
     """
     settings = settings or EstimatorSettings()
     M = as_array(mixing)
@@ -467,7 +503,7 @@ def oracle_decompose(
     if max(abs(h - h_common) for h in hs) > 1e-9:
         raise ValueError("sources must share a common entropy; normalize them first")
 
-    Warr = np.asarray(W, dtype=np.complex128 if field == "complex" else np.float64)
+    Warr = _demixer_array(W, field)
     m = Warr.shape[0]
     X = dist.sample_sources(sources, n_samples, seed)
     Y = X @ M.T

@@ -330,9 +330,12 @@ def sample_sources(
 
     Column j of trial t uses the derived stream t * 2^20 + j, so trials and
     components are independent and reproducible.  All models must live over
-    the same field (else ``UnsupportedFamily``).
+    the same field (else ``UnsupportedFamily``); an empty list raises
+    ``ValueError``.
     """
     sources = list(sources)
+    if not sources:
+        raise ValueError("need at least one source")
     if len({s.field for s in sources}) > 1:
         raise UnsupportedFamily("cannot sample models over mixed fields into one array")
     dtype = np.complex128 if sources[0].field == "complex" else np.float64

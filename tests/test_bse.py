@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mixent import (
@@ -29,6 +31,7 @@ from mixent import formats as fmt
 
 AVG_ROW = np.full((1, 2), 2**-0.5)
 STRICT_GAP = 0.5 * (1.0 - np.log(2.0))
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
 
 def uniform_observation(n, n_samples, seed):
@@ -149,6 +152,33 @@ def test_contrast_scaling_permutation_invariance():
         c1 = contrast(W, obs)
         c2 = contrast(P @ D @ W, obs)
         assert abs(c2 - c1) <= 1e-9 * (1.0 + abs(c1))
+
+
+ROW_SCALING_OBS = Observation.from_samples(
+    sample_sources([unit_variance_uniform(), laplace(1.0), gaussian(1.0)], 2000, 102)
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    scales=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
+)
+def test_contrast_invariant_to_row_scaling(entries, scales, signs):
+    W = np.array(entries).reshape(2, 3)
+    assume(np.linalg.cond(W) < 1e3)
+    D = np.diag(np.array(scales) * np.array(signs))
+    assert abs(contrast(D @ W, ROW_SCALING_OBS) - contrast(W, ROW_SCALING_OBS)) <= 1e-12
+
+
+def test_complex_demixer_for_real_data_unsupported():
+    _, obs = uniform_observation(2, 2000, 24)
+    for W in ([[1.0, 1j]], np.array([[1.0, 1j]])):
+        with pytest.raises(UnsupportedFamily, match="complex demixing matrix for real data"):
+            contrast(W, obs)
+        with pytest.raises(UnsupportedFamily, match="complex demixing matrix for real data"):
+            oracle_decompose(W, np.eye(2), [gaussian(1.0)] * 2, n_samples=2000, seed=0)
 
 
 def test_contrast_complex_invariance():
@@ -343,6 +373,37 @@ def test_minimize_contrast_scores_each_rotation_once(case, monkeypatch):
     minimize_contrast(Observation.from_samples(X @ M.T), k, seed=9, restarts=restarts)
     assert counts["accepted"] > 0
     assert counts["outside"] == restarts * k + k
+
+
+def test_real_search_scores_through_bse_spacing_binding(monkeypatch):
+    # Every row the real line search scores goes through bse's binding of
+    # spacing_entropy_value, which is what traced runs count.
+    import mixent.bse as bse
+
+    inside, evals, depth = [0], [0], [0]
+    spacing, line_search = bse.spacing_entropy_value, bse._line_search
+
+    def counted_spacing(*args):
+        inside[0] += depth[0] > 0
+        return spacing(*args)
+
+    def counted_line_search(*args, **kwargs):
+        depth[0] += 1
+        try:
+            result = line_search(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        evals[0] += result[2]
+        return result
+
+    monkeypatch.setattr(bse, "spacing_entropy_value", counted_spacing)
+    monkeypatch.setattr(bse, "_line_search", counted_line_search)
+    X, _ = uniform_observation(2, 2000, 65)
+    R = np.array([[0.8, -0.6], [0.6, 0.8]])
+    minimize_contrast(Observation.from_samples(X @ R.T), 2, seed=3, restarts=1)
+    # Both rows of the single pair are scored at every evaluation.
+    assert evals[0] > 0
+    assert inside[0] == 2 * evals[0]
 
 
 def test_oracle_decompose_separating_gaussian_scenario():

@@ -16,6 +16,7 @@ from mixent import (
     quantile_transport,
     radial_transport,
     sample,
+    sample_sources,
     scale_model,
     spacing_entropy,
     transport_log_derivative_expectation,
@@ -303,3 +304,8 @@ def test_transport_log_derivative_entropy_matched_vanishes():
 def test_transport_log_derivative_rejects_bad_count():
     with pytest.raises(ValueError):
         transport_log_derivative_expectation(quantile_transport(gaussian(1.0)), 0, 1)
+
+
+def test_sample_sources_needs_a_source():
+    with pytest.raises(ValueError, match="need at least one source"):
+        sample_sources([], 10, 0)

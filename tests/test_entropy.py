@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixent import (
     DegenerateData,
@@ -20,9 +22,10 @@ from mixent import (
     surrogate_sigma,
     uniform,
 )
-from mixent.entropy import default_spacing_window, spacing_entropy_value
+from mixent.entropy import SpacingWorkspace, default_spacing_window, spacing_entropy_value
 
 H_NORMAL = 0.5 * np.log(2 * np.pi * np.e)
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None)
 AVG = np.array([[1.0, 0.0, 0.0], [0.0, 2**-0.5, 2**-0.5]])
 
 
@@ -140,6 +143,52 @@ def test_spacing_value_bit_identical_to_reference():
             spacing_entropy_value(np.full(10, 3.0), m)
         with pytest.raises(DegenerateData):
             _reference_spacing_value(np.full(10, 3.0), m)
+
+
+def test_spacing_workspace_reuse_bit_identical_to_reference():
+    # One workspace per (n, m) scores Gaussian, then tied, then Gaussian data
+    # again, so anything left in its buffers by an earlier call would show.
+    # Subnormal spacings check that halving rounds as dividing by 2 does,
+    # and that a positive spacing whose ratio underflows still gives -inf.
+    gen = np.random.Generator(np.random.Philox(2004))
+    for n in (10, 11, 1000, 20000):
+        for m in sorted({1, default_spacing_window(n), n // 2}):
+            work = SpacingWorkspace(n, m)
+            x = gen.standard_normal(n)
+            tied = np.round(gen.standard_normal(n), 1)
+            for data in (x, tied, gen.standard_normal(n), 1e-318 * x, x):
+                buf = data.copy()
+                with np.errstate(divide="ignore"):
+                    value, ref = spacing_entropy_value(buf, m, work), _reference_spacing_value(data, m)
+                assert value == ref, (n, m)
+                assert np.array_equal(buf, np.sort(data))
+            with pytest.raises(DegenerateData):
+                spacing_entropy_value(np.full(n, 3.0), m, work)
+            assert spacing_entropy_value(x.copy(), m, work) == _reference_spacing_value(x, m)
+
+
+def test_spacing_workspace_rejects_other_sizes():
+    work = SpacingWorkspace(100, 5)
+    x = np.linspace(0.0, 1.0, 101)
+    with pytest.raises(ValueError, match="workspace is for n=100, m=5"):
+        spacing_entropy_value(x, 5, work)
+    with pytest.raises(ValueError, match="workspace is for n=100, m=5"):
+        spacing_entropy_value(x[:100].copy(), 6, work)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(10, 2000),
+    m_frac=st.floats(0.0, 1.0),
+    a=st.floats(1e-3, 1e3),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_spacing_value_scale_equivariant(seed, n, m_frac, a, sign):
+    x = np.random.Generator(np.random.Philox(seed)).standard_normal(n)
+    m = 1 + int(m_frac * (n // 2 - 1))
+    shift = spacing_entropy_value(sign * a * x, m) - spacing_entropy_value(x, m)
+    assert abs(shift - math.log(a)) <= 1e-12
 
 
 def test_knn_two_dimensional_normal():
