@@ -24,9 +24,9 @@ from .entropy import (
     SpacingWorkspace,
     _knn_value,
     _require_finite,
-    default_spacing_window,
     estimate_entropy,
     spacing_entropy_value,
+    spacing_window,
 )
 from .errors import (
     RankDeficient,
@@ -116,21 +116,20 @@ def whiten(obs: Observation):
     return Observation(samples=yc @ C.T, field=obs.field), C
 
 
-def _spacing_window(n: int, settings: EstimatorSettings) -> int:
-    return settings.spacing_m or default_spacing_window(n)
+def _row_scorer(field: str, n: int, settings: EstimatorSettings):
+    """Entropy estimate of one row of n samples: m-spacings in one reused
+    workspace for real rows (sorting the row in place), kNN on (re, im) for
+    complex ones, each looked up in this module at call time so traced runs
+    count it.  Raises ValueError for a real window outside [1, n // 2]."""
+    if field == "real":
+        window = spacing_window(n, settings.spacing_m)
+        work = SpacingWorkspace(n, window)
+        return lambda z: spacing_entropy_value(z, window, work)
+    return lambda z: _knn_value(np.column_stack((z.real, z.imag)), settings.knn_k)
 
 
 def _marginal_entropy_value(z: np.ndarray, field: str, settings: EstimatorSettings) -> float:
-    if field == "real":
-        return spacing_entropy_value(z, _spacing_window(z.shape[0], settings))
-    return _knn_value(np.column_stack((z.real, z.imag)), settings.knn_k)
-
-
-def _check_spacing_window(obs: Observation, settings: EstimatorSettings) -> None:
-    # spacing_entropy_value needs 1 <= m <= N // 2 and does not check it.
-    m, half = settings.spacing_m, obs.samples.shape[0] // 2
-    if obs.field == "real" and m is not None and not 1 <= m <= half:
-        raise ValueError(f"window m={m} out of range [1, {half}]")
+    return _row_scorer(field, z.shape[0], settings)(z.copy())
 
 
 def _demixer_array(W, field: str) -> np.ndarray:
@@ -176,7 +175,6 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
         Real data with ``settings.spacing_m`` outside [1, N // 2].
     """
     settings = settings or EstimatorSettings()
-    _check_spacing_window(obs, settings)
     arr = _demixer_array(W, obs.field)
     if arr.ndim != 2 or arr.shape[1] != obs.samples.shape[1]:
         raise ValueError("W must be a matrix with one column per observed channel")
@@ -245,11 +243,16 @@ def _haar_unitary(rng: np.random.Generator, n: int, complex_field: bool) -> np.n
     return q * (d / np.abs(d))
 
 
-def _combine(out: np.ndarray, tmp: np.ndarray, a: float, x: np.ndarray, b: float, y: np.ndarray):
+def _combine(out: np.ndarray, tmp: np.ndarray, a: complex, x: np.ndarray, b: complex, y: np.ndarray):
     """Write ``a * x + b * y`` into ``out``, rounded as that expression is;
-    ``tmp`` is scratch."""
-    np.multiply(x, a, out=out)
-    np.multiply(y, b, out=tmp)
+    ``tmp`` is scratch.
+
+    Each product takes the scalar first, as ``a * x`` does: numpy's complex
+    multiply is not bitwise commutative, so ``x * a`` would change the last
+    bits of complex rows, and with them the seeded extraction results.
+    """
+    np.multiply(a, x, out=out)
+    np.multiply(b, y, out=tmp)
     return np.add(out, tmp, out=out)
 
 
@@ -290,13 +293,10 @@ def _optimize_frame(
     Z = np.ascontiguousarray((Yw @ U.T).T)
     hvals = np.array([_marginal_entropy_value(Z[i], field, settings) for i in range(m)])
     complex_field = field == "complex"
-    if not complex_field:
-        # The real search writes each rotated row into one of two buffers,
-        # which the spacing estimate then sorts in place within ``work``.
-        N = Z.shape[1]
-        window = _spacing_window(N, settings)
-        work = SpacingWorkspace(N, window)
-        bp, bq = np.empty(N), np.empty(N)
+    # The search writes each rotated row into one of two buffers, which the
+    # scorer may then overwrite.
+    score = _row_scorer(field, Z.shape[1], settings)
+    bp, bq = np.empty_like(Z[0]), np.empty_like(Z[0])
     trace = [float(hvals.sum())]
     converged = False
     sweeps = 0
@@ -314,18 +314,10 @@ def _optimize_frame(
 
                 def f_theta(t, phase=1.0):
                     c, s = math.cos(t), math.sin(t)
+                    v = hp = score(_combine(bp, bq, c, zp, s * phase, zq))
                     hq = None
-                    if complex_field:
-                        v = hp = _marginal_entropy_value(c * zp + (s * phase) * zq, field, settings)
-                        if include_q:
-                            hq = _marginal_entropy_value(
-                                (-s * np.conj(phase)) * zp + c * zq, field, settings
-                            )
-                    else:
-                        v = hp = spacing_entropy_value(_combine(bp, bq, c, zp, s, zq), window, work)
-                        if include_q:
-                            hq = spacing_entropy_value(_combine(bq, bp, -s, zp, c, zq), window, work)
                     if include_q:
+                        hq = score(_combine(bq, bp, -s * np.conj(phase), zp, c, zq))
                         v += hq
                     scored[t, phase] = hp, hq
                     return v
@@ -349,12 +341,9 @@ def _optimize_frame(
 
                 if f_best < f0 and abs(theta) > 0.0:
                     c, s = math.cos(theta), math.sin(theta)
-                    zp_new = c * zp + (s * phase) * zq
-                    zq_new = (-s * np.conj(phase)) * zp + c * zq
-                    Z[p], Z[q] = zp_new, zq_new
-                    up, uq = U[p].copy(), U[q].copy()
-                    U[p] = c * up + (s * phase) * uq
-                    U[q] = (-s * np.conj(phase)) * up + c * uq
+                    a, b = s * phase, -s * np.conj(phase)
+                    Z[p], Z[q] = c * zp + a * zq, b * zp + c * zq
+                    U[p], U[q] = c * U[p] + a * U[q], b * U[p] + c * U[q]
                     hvals[p], hq = scored[theta, phase]
                     if include_q:
                         hvals[q] = hq
@@ -400,7 +389,6 @@ def minimize_contrast(
         raise ValueError(f"n_extract must be in [1, {n}], got {n_extract}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    _check_spacing_window(obs, settings)
 
     wobs, C = whiten(obs)
     complex_field = obs.field == "complex"

@@ -14,7 +14,7 @@ are circularly symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,12 +65,13 @@ class SourceModel:
     params:
         Family-specific parameters; see the factory helpers below.
     field:
-        ``"real"`` or ``"complex"``, implied by the family.
+        ``"real"`` or ``"complex"``; defaults to the family's field, and any
+        other value raises ``UnsupportedFamily``.
     """
 
     family: str
     params: dict
-    field: str = dc_field(default="real")
+    field: str | None = None
 
     def __post_init__(self):
         if self.family in _REAL_FAMILIES:
@@ -79,7 +80,9 @@ class SourceModel:
             expected = "complex"
         else:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
-        if self.field != expected:
+        if self.field is None:
+            object.__setattr__(self, "field", expected)
+        elif self.field != expected:
             raise UnsupportedFamily(f"family {self.family!r} is a {expected}-field family")
         _validate_params(self.family, self.params)
 
@@ -190,12 +193,12 @@ def circular_gaussian(sigma: float = 1.0) -> SourceModel:
     entropy, viewing the variable as two real coordinates, is
     log(pi e sigma^2).
     """
-    return SourceModel("complex_circular_gaussian", {"sigma": float(sigma)}, field="complex")
+    return SourceModel("complex_circular_gaussian", {"sigma": float(sigma)})
 
 
 def uniform_disk(radius: float = 1.0) -> SourceModel:
     """Uniform on the complex disk of the given radius."""
-    return SourceModel("complex_uniform_disk", {"radius": float(radius)}, field="complex")
+    return SourceModel("complex_uniform_disk", {"radius": float(radius)})
 
 
 def exact_entropy(model: SourceModel) -> float:

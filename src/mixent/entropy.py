@@ -50,7 +50,9 @@ class EstimatorSettings:
     """Estimator choices shared by the experiment harness and extraction.
 
     ``tolerance_multiplier`` scales the gap standard error into the
-    violation tolerance.
+    violation tolerance; it must be finite and at least 0.  ``knn_k`` must
+    be at least 1.  ``spacing_m`` is checked against the sample size where
+    it is used (see :func:`spacing_window`).
     """
 
     knn_k: int = 4
@@ -59,7 +61,14 @@ class EstimatorSettings:
     jitter_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "tolerance_multiplier", float(self.tolerance_multiplier))
+        tol = float(self.tolerance_multiplier)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(
+                f"estimator 'tolerance_multiplier' must be finite and at least 0, got {tol}"
+            )
+        if self.knn_k < 1:
+            raise ValueError(f"estimator 'knn_k' must be at least 1, got {self.knn_k}")
+        object.__setattr__(self, "tolerance_multiplier", tol)
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,16 @@ def default_spacing_window(n: int) -> int:
     return int(min(max(round(math.sqrt(n)), 1), n // 2))
 
 
+def spacing_window(n: int, m: int | None = None) -> int:
+    """Window of an m-spacing estimate of n points: ``m``, or the default
+    window when ``m`` is None.  Raises ValueError unless 1 <= m <= n // 2."""
+    if m is None:
+        return default_spacing_window(n)
+    if not 1 <= m <= n // 2:
+        raise ValueError(f"window m={m} out of range [1, {n // 2}]")
+    return m
+
+
 def _block_std_error(estimate_block, x: np.ndarray, min_block: int) -> float:
     n = x.shape[0]
     n_blocks = min(10, n // max(min_block, 10))
@@ -209,10 +228,7 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     if n < 10:
         raise TooFewSamples(f"need at least 10 samples, got {n}")
     _require_finite(x)
-    if m is None:
-        m = default_spacing_window(n)
-    if not (1 <= m <= n // 2):
-        raise ValueError(f"window m={m} out of range [1, {n // 2}]")
+    m = spacing_window(n, m)
     value = spacing_entropy_value(x, m)
     se = _block_std_error(
         lambda blk: spacing_entropy_value(blk, default_spacing_window(blk.size)),

@@ -194,7 +194,7 @@ def model_from_dict(d: dict) -> dist.SourceModel:
     return dist.SourceModel(
         family=d["family"],
         params=dict(_object(d["params"], "'params'")),
-        field=d.get("field", "complex" if d["family"] in dist._COMPLEX_FAMILIES else "real"),
+        field=d.get("field"),
     )
 
 
@@ -340,8 +340,9 @@ def settings_from_dict(d: dict) -> EstimatorSettings:
     if unknown:
         raise ValueError(f"unknown estimator keys: {sorted(unknown)}")
     kwargs = dict(d)
+    # Only the window may be null: it then defaults to the sample size's.
     for key in ("knn_k", "spacing_m", "jitter_seed"):
-        if kwargs.get(key) is not None:
+        if key in kwargs and (key != "spacing_m" or kwargs[key] is not None):
             kwargs[key] = _int(kwargs[key], f"estimator {key!r}")
     if "tolerance_multiplier" in kwargs:
         kwargs["tolerance_multiplier"] = _denum(kwargs["tolerance_multiplier"])

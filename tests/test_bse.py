@@ -334,6 +334,16 @@ def test_minimize_contrast_seeded_golden():
     assert _extraction_digest(res) == "2328da59f255a651ebfe537f1e1a503484e237c651f3ac7f5b80e419c94aab70"
 
 
+def test_complex_two_row_extraction_seeded_golden():
+    # Extracting both rows of a complex mixture scores the second row of
+    # every rotation too, so these bytes pin that half of the search as well.
+    gen = np.random.Generator(np.random.Philox(2021))
+    Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
+    Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 65)
+    res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 2, seed=10, restarts=1)
+    assert _extraction_digest(res) == "183a9c0bc71e22bd54c4f2cbb90035530f035ae65dd7bce06e8f24f14f8155ff"
+
+
 @pytest.mark.parametrize("case", ["real", "complex"])
 def test_minimize_contrast_scores_each_rotation_once(case, monkeypatch):
     # Outside the line searches the only entropy evaluations are the initial
@@ -401,6 +411,37 @@ def test_real_search_scores_through_bse_spacing_binding(monkeypatch):
     X, _ = uniform_observation(2, 2000, 65)
     R = np.array([[0.8, -0.6], [0.6, 0.8]])
     minimize_contrast(Observation.from_samples(X @ R.T), 2, seed=3, restarts=1)
+    # Both rows of the single pair are scored at every evaluation.
+    assert evals[0] > 0
+    assert inside[0] == 2 * evals[0]
+
+
+def test_complex_search_scores_through_bse_knn_binding(monkeypatch):
+    # Every row the complex line searches score, angle and phase alike, goes
+    # through bse's binding of _knn_value, which is what traced runs count.
+    import mixent.bse as bse
+
+    inside, evals, depth = [0], [0], [0]
+    knn, line_search = bse._knn_value, bse._line_search
+
+    def counted_knn(*args):
+        inside[0] += depth[0] > 0
+        return knn(*args)
+
+    def counted_line_search(*args, **kwargs):
+        depth[0] += 1
+        try:
+            result = line_search(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+        evals[0] += result[2]
+        return result
+
+    monkeypatch.setattr(bse, "_knn_value", counted_knn)
+    monkeypatch.setattr(bse, "_line_search", counted_line_search)
+    Z = sample_sources([uniform_disk(1.0)] * 2, 1000, 66)
+    R = np.array([[0.8, -0.6j], [-0.6j, 0.8]])
+    minimize_contrast(Observation.from_samples(Z @ R.T), 2, seed=3, restarts=1, max_sweeps=1)
     # Both rows of the single pair are scored at every evaluation.
     assert evals[0] > 0
     assert inside[0] == 2 * evals[0]

@@ -363,6 +363,27 @@ def test_verify_epi_string_knn_k_exit_four(tmp_path, capsys):
     assert "estimator 'knn_k' must be an integer, got 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("tolerance_multiplier", -3, "estimator 'tolerance_multiplier' must be finite and at least 0, got -3.0"),
+        ("tolerance_multiplier", "nan", "estimator 'tolerance_multiplier' must be finite and at least 0, got nan"),
+        ("knn_k", 0, "estimator 'knn_k' must be at least 1, got 0"),
+        ("knn_k", None, "estimator 'knn_k' must be an integer, got None"),
+        ("jitter_seed", None, "estimator 'jitter_seed' must be an integer, got None"),
+    ],
+    ids=["negative_multiplier", "nan_multiplier", "zero_k", "null_k", "null_jitter_seed"],
+)
+def test_verify_epi_bad_estimator_value_exit_four(tmp_path, capsys, key, value, message):
+    cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))
+    cfg["estimator"][key] = value
+    fmt.write_json(tmp_path / "c.json", cfg)
+    assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_entropy_non_finite_sample_names_line_and_column(tmp_path, capsys):
     (tmp_path / "nan.csv").write_text("s1\n" + "".join(f"{i}.0\n" for i in range(50)) + "nan\n")
     assert main(["entropy", "--input", str(tmp_path / "nan.csv"), "--method", "spacing"]) == 20

@@ -125,6 +125,25 @@ def test_tolerance_multiplier_controls_verdict():
     assert rep.verdict == "strict"
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tolerance_multiplier": -3}, "estimator 'tolerance_multiplier' must be finite and at least 0, got -3.0"),
+        ({"tolerance_multiplier": float("nan")}, "estimator 'tolerance_multiplier' must be finite and at least 0, got nan"),
+        ({"tolerance_multiplier": float("inf")}, "estimator 'tolerance_multiplier' must be finite and at least 0, got inf"),
+        ({"knn_k": 0}, "estimator 'knn_k' must be at least 1, got 0"),
+        ({"knn_k": -2}, "estimator 'knn_k' must be at least 1, got -2"),
+    ],
+    ids=["negative_multiplier", "nan_multiplier", "inf_multiplier", "zero_k", "negative_k"],
+)
+def test_estimator_settings_reject_bad_values(kwargs, message):
+    # A negative or NaN multiplier would turn every verdict into a violation
+    # or a vacuous strict; 0 stays valid and makes the tolerance exactly 0.
+    with pytest.raises(ValueError) as info:
+        EstimatorSettings(**kwargs)
+    assert str(info.value) == message
+
+
 def test_left_invertible_invariance():
     srcs = [unit_variance_uniform()] * 2
     a = run_epi_trial(config(AVG_ROW, srcs, n_samples=10000))

@@ -17,6 +17,7 @@ from mixent import (
     MixingMatrix,
     Observation,
     SeparationQuality,
+    UnsupportedFamily,
     canonical_form,
     circular_gaussian,
     classify_components,
@@ -141,6 +142,14 @@ def test_model_round_trip_all_families():
     for m in models:
         back = fmt.model_from_dict(fmt.model_to_dict(m))
         assert back == m
+        # "field" is optional in a source object: the family implies it.
+        d = fmt.model_to_dict(m)
+        assert fmt.model_from_dict({"family": d["family"], "params": d["params"]}) == m
+    assert fmt.canonical_json(fmt.model_to_dict(uniform_disk(1.5))) == (
+        '{\n  "family": "complex_uniform_disk",\n  "field": "complex",\n  "params": {\n    "radius": 1.5\n  }\n}\n'
+    )
+    with pytest.raises(UnsupportedFamily):
+        fmt.model_from_dict({"family": "complex_uniform_disk", "params": {"radius": 1.0}, "field": "real"})
 
 
 def test_sources_from_obj_forms():
