@@ -327,11 +327,11 @@ def test_minimize_contrast_seeded_golden():
     res = minimize_contrast(
         Observation.from_samples(X @ M.T), 2, seed=7, restarts=2, settings=EstimatorSettings(spacing_m=2)
     )
-    assert _extraction_digest(res) == "319ba5af0abe596ad4109b3a98024ab5a1cfa680435a0d501ac8f5707352cca7"
+    assert _extraction_digest(res) == "27401ea3ebb6150fe4f1eb1eee208f363925c0c03f2a59a3479349e665a10a78"
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)
-    assert _extraction_digest(res) == "2328da59f255a651ebfe537f1e1a503484e237c651f3ac7f5b80e419c94aab70"
+    assert _extraction_digest(res) == "a48e40765bd4800377295a528e828e04301a493a304b5b8b57bc6895aaf3c562"
 
 
 def test_complex_two_row_extraction_seeded_golden():
@@ -341,7 +341,46 @@ def test_complex_two_row_extraction_seeded_golden():
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 65)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 2, seed=10, restarts=1)
-    assert _extraction_digest(res) == "183a9c0bc71e22bd54c4f2cbb90035530f035ae65dd7bce06e8f24f14f8155ff"
+    assert _extraction_digest(res) == "00e2254d860e4190712321aa29c27a5d1d8565fba165db7d758a11cb2050a04f"
+
+
+# (objective, lo, hi, t*): the angle search's interval and period, and the
+# phase search's interval; each minimum lies off the 9-point grid.
+LINE_SEARCH_CASES = {
+    "quadratic": (lambda t: (t - 0.3) ** 2, -np.pi / 4, np.pi / 4, 0.3),
+    "cosine": (lambda t: 1.0 - np.cos(4.0 * (t + 0.123)), -np.pi / 4, np.pi / 4, -0.123),
+    "quadratic_phase": (lambda t: (t - 1.1) ** 2, -np.pi / 2, np.pi / 2, 1.1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_SEARCH_CASES))
+@pytest.mark.parametrize("budget", [12, 40])
+def test_line_search_stops_at_its_width(case, budget):
+    # Golden section carries the bracket to the stop width, where the better
+    # inner point lies within half of it, in at most 20 evaluations.
+    import mixent.bse as bse
+
+    f, lo, hi, t_star = LINE_SEARCH_CASES[case]
+    t, f_best, evals = bse._line_search(f, f(0.0), lo, hi, budget)
+    assert evals <= min(budget, 20)
+    assert f_best == f(t)
+    if budget == 40:
+        assert abs(t - t_star) <= bse._LINE_SEARCH_STOP / 2
+
+
+def test_line_search_keeps_a_minimum_at_zero():
+    import mixent.bse as bse
+
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 + t**2
+
+    t, f_best, evals = bse._line_search(f, 1.0, -np.pi / 4, np.pi / 4, 40)
+    assert (t, f_best) == (0.0, 1.0)
+    assert evals == len(calls) <= 20
+    assert 0.0 not in calls
 
 
 @pytest.mark.parametrize("case", ["real", "complex"])
