@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .matrix_analysis import as_array, rank_of
-from .rng import generator
+from .rng import generator, haar_rows
 
 __all__ = [
     "Observation",
@@ -245,16 +245,6 @@ def _line_search(f, f0: float, lo: float, hi: float, budget: int):
     return t_best, f_best, evals
 
 
-def _haar_unitary(rng: np.random.Generator, n: int, complex_field: bool) -> np.ndarray:
-    if complex_field:
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    else:
-        G = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(G)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def _combine(out: np.ndarray, tmp: np.ndarray, a: complex, x: np.ndarray, b: complex, y: np.ndarray):
     """Write ``a * x + b * y`` into ``out``, rounded as that expression is;
     ``tmp`` is scratch.
@@ -408,7 +398,7 @@ def minimize_contrast(
     objectives = []
     traces = []
     for r in range(restarts):
-        U0 = _haar_unitary(generator(seed, 1000 + r), n, complex_field)
+        U0 = haar_rows(generator(seed, 1000 + r), n, n, complex_field)
         U, obj, sweeps, conv, trace = _optimize_frame(
             wobs.samples, n_extract, U0, obs.field, settings, max_sweeps, sweep_tol
         )

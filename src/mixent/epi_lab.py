@@ -38,7 +38,7 @@ from .matrix_analysis import (
     log_concavity_gap_blocks,
     rank_of,
 )
-from .rng import generator, uniform_open
+from .rng import generator, haar_rows, uniform_open
 
 __all__ = [
     "EpiExperimentConfig",
@@ -286,15 +286,6 @@ class LemmaSweepReport:
     threshold: float
 
 
-def _haar_rows(rng: np.random.Generator, m: int, n: int, complex_field: bool) -> np.ndarray:
-    if complex_field:
-        G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    else:
-        G = rng.standard_normal((n, m))
-    q, _ = np.linalg.qr(G)
-    return q.conj().T
-
-
 def run_lemma2_sweep(
     count: int,
     max_m: int = 5,
@@ -323,7 +314,7 @@ def run_lemma2_sweep(
     for t in range(count):
         rng = generator(seed, t)
         m, n = shapes[int(rng.integers(len(shapes)))]
-        Q = _haar_rows(rng, m, n, complex_field=False)
+        Q = haar_rows(rng, m, n, complex_field=False)
         lam = lo + (hi - lo) * rng.random(n)
         gaps[t] = log_concavity_gap(Q, lam)
 
@@ -332,7 +323,7 @@ def run_lemma2_sweep(
     for t in range(n_eq):
         rng = generator(seed, 1_000_000 + t)
         m, n = shapes[int(rng.integers(len(shapes)))]
-        Q = _haar_rows(rng, m, n, complex_field=False)
+        Q = haar_rows(rng, m, n, complex_field=False)
         c = lo + (hi - lo) * rng.random()
         eq_gaps[t] = log_concavity_gap(Q, np.full(n, c))
 
@@ -341,7 +332,7 @@ def run_lemma2_sweep(
     for t in range(n_blk):
         rng = generator(seed, 2_000_000 + t)
         m, n = shapes[int(rng.integers(len(shapes)))]
-        Qc = _haar_rows(rng, m, n, complex_field=True)
+        Qc = haar_rows(rng, m, n, complex_field=True)
         blocks = []
         for _ in range(n):
             d = lo + (hi - lo) * rng.random(2)

@@ -40,3 +40,20 @@ def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
     u = rng.random(size)
     tiny = np.finfo(np.float64).tiny
     return np.clip(u, tiny, 1.0 - 2.0 ** -53)
+
+
+def haar_rows(rng: np.random.Generator, m: int, n: int, complex_field: bool) -> np.ndarray:
+    """m orthonormal rows of length n (m <= n), Haar distributed.
+
+    The rows are the conjugate-transposed Q factor of an n x m standard
+    (complex) Gaussian matrix.  Each column of Q is multiplied by the phase
+    ``d / |d|`` of the matching diagonal entry of R, which makes the QR
+    factorization unique and so the draw uniform on the Stiefel manifold.
+    """
+    if complex_field:
+        G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    else:
+        G = rng.standard_normal((n, m))
+    q, r = np.linalg.qr(G)
+    d = np.diagonal(r)
+    return (q * (d / np.abs(d))).conj().T
