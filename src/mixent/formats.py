@@ -47,6 +47,7 @@ __all__ = [
     "classification_to_dict",
     "classification_from_dict",
     "canonical_to_dict",
+    "canonical_from_dict",
     "settings_to_dict",
     "settings_from_dict",
     "config_to_dict",
@@ -54,6 +55,7 @@ __all__ = [
     "epi_report_to_dict",
     "epi_report_from_dict",
     "extraction_to_dict",
+    "extraction_from_dict",
     "quality_to_dict",
     "decomposition_to_dict",
 ]
@@ -299,22 +301,32 @@ def estimate_from_dict(d: dict) -> EntropyEstimate:
 
 
 def classification_to_dict(c: ComponentClassification) -> dict:
-    """Encode with 1-based component labels."""
+    """Encode with 1-based component labels.
+
+    With no witness the list is empty and cannot show the matrix's row
+    count m, so the dict states it as ``rows``; nonempty witnesses carry m
+    as their length.
+    """
     d = dataclasses.asdict(c)
     d["present"] = [j + 1 for j in c.present]
     d["recoverable"] = [j + 1 for j in c.recoverable]
     d["field"] = "complex" if np.iscomplexobj(c.witnesses) else "real"
+    if len(c.witnesses) == 0:
+        d["rows"] = c.witnesses.shape[1]
     return _plain(d)
 
 
 def classification_from_dict(d: dict) -> ComponentClassification:
+    """Decode; empty witnesses get shape (0, rows), or (0, 0) for a dict
+    without ``rows``."""
     field = d.get("field", "real")
     data = d["witnesses"]
     if data:
         witnesses = _data_to_array(data, field)
     else:
         dtype = np.complex128 if field == "complex" else np.float64
-        witnesses = np.zeros((0, 0), dtype=dtype)
+        rows = _int(d.get("rows", 0), "classification 'rows'")
+        witnesses = np.zeros((0, rows), dtype=dtype)
     return ComponentClassification(
         present=tuple(int(j) - 1 for j in d["present"]),
         recoverable=tuple(int(j) - 1 for j in d["recoverable"]),
@@ -328,6 +340,19 @@ def canonical_to_dict(dec: CanonicalDecomposition) -> dict:
     d = dataclasses.asdict(dec)
     d["permutation"] = [j + 1 for j in dec.permutation]
     return _plain(d)
+
+
+def canonical_from_dict(d: dict) -> CanonicalDecomposition:
+    field = d["field"]
+    B = _data_to_array(d["B"], field)
+    permutation = tuple(int(j) - 1 for j in d["permutation"])
+    r = int(d["r"])
+    if d["tail"]:
+        tail = _data_to_array(d["tail"], field)
+    else:
+        # The tail is (m - r) x (n - r); empty, one of the two is 0.
+        tail = np.zeros((B.shape[0] - r, len(permutation) - r), dtype=B.dtype)
+    return CanonicalDecomposition(B=B, permutation=permutation, r=r, tail=tail, field=field)
 
 
 def settings_to_dict(s: EstimatorSettings) -> dict:
@@ -435,6 +460,21 @@ def extraction_to_dict(result: ExtractionResult) -> dict:
             "restart_objectives": result.restart_objectives,
             "n_extracted": result.n_extracted,
         }
+    )
+
+
+def extraction_from_dict(d: dict) -> ExtractionResult:
+    return ExtractionResult(
+        demixer=matrix_from_dict(d["W"]).array,
+        contrast_value=_denum(d["contrast"]),
+        converged=bool(d["converged"]),
+        sweeps=int(d["sweeps"]),
+        best_restart=int(d["best_restart"]),
+        restart_objectives=tuple(_denum(v) for v in d["restart_objectives"]),
+        trace=tuple(tuple(_denum(v) for v in t) for t in d["trace"]),
+        whitener=matrix_from_dict(d["whitener"]).array,
+        n_extracted=int(d["n_extracted"]),
+        seed=int(d["seeds"][0]),
     )
 
 

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mixent import (
@@ -24,6 +27,7 @@ from mixent import (
     gaussian,
     laplace,
     minimize_contrast,
+    rank_of,
     run_epi_trial,
     sample_sources,
     separation_quality,
@@ -235,6 +239,16 @@ def test_classification_dict_uses_one_based_indices():
     assert np.array_equal(back.witnesses, cls.witnesses)
 
 
+def test_empty_witnesses_keep_the_row_count():
+    cls = classify_components([[1.0, 1.0]])
+    assert cls.recoverable == () and cls.witnesses.shape == (0, 1)
+    d = fmt.classification_to_dict(cls)
+    assert d["rows"] == 1
+    assert fmt.classification_from_dict(d).witnesses.shape == (0, 1)
+    del d["rows"]
+    assert fmt.classification_from_dict(d).witnesses.shape == (0, 0)
+
+
 def test_canonical_dict_uses_one_based_permutation():
     dec = canonical_form(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
     d = fmt.canonical_to_dict(dec)
@@ -384,7 +398,7 @@ GOLDEN = {
         lambda: fmt.classification_to_dict(
             ComponentClassification(present=(0, 2), recoverable=(), witnesses=np.zeros((0, 2)), tolerance=1e-8)
         ),
-        '{"field": "real", "present": [1, 3], "recoverable": [], "tolerance": 1e-08, "witnesses": []}',
+        '{"field": "real", "present": [1, 3], "recoverable": [], "rows": 2, "tolerance": 1e-08, "witnesses": []}',
     ),
     "classification_complex": (
         lambda: fmt.classification_to_dict(
@@ -523,3 +537,75 @@ def test_encoder_golden_bytes(name):
     expected = json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
     assert fmt.canonical_json(encode()) == expected
 
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None)
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+REPORT_CODECS = {
+    "classification": (fmt.classification_to_dict, fmt.classification_from_dict),
+    "canonical": (fmt.canonical_to_dict, fmt.canonical_from_dict),
+    "epi": (fmt.epi_report_to_dict, fmt.epi_report_from_dict),
+    "extraction": (fmt.extraction_to_dict, fmt.extraction_from_dict),
+    "estimate": (fmt.estimate_to_dict, fmt.estimate_from_dict),
+}
+
+
+@st.composite
+def reports(draw):
+    """A report of each type in REPORT_CODECS (a canonical form only when no
+    column is zero), built around a full-row-rank matrix of at most 3 x 4
+    scaled {-1, 0, 1} entries, real or complex."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 4))
+    entries = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m * n, max_size=m * n))
+    A = np.array(entries).reshape(m, n) * draw(st.sampled_from([1.0, 0.3, 1j, 0.5 - 0.25j]))
+    assume(rank_of(A) == m)
+    estimate = EntropyEstimate(
+        value=draw(ANY_FLOAT),
+        method=draw(st.sampled_from(["spacing", "knn"])),
+        n_samples=draw(st.integers(2, 10**6)),
+        params={"k": draw(st.integers(1, 10)), "jitter": draw(ANY_FLOAT)},
+        std_error=draw(ANY_FLOAT),
+    )
+    classification = classify_components(A)
+    batch = {
+        "classification": classification,
+        "estimate": estimate,
+        "epi": EpiReport(
+            lhs=estimate, rhs=draw(ANY_FLOAT), gap=draw(ANY_FLOAT), gap_std_error=None,
+            per_trial_gaps=tuple(draw(st.lists(ANY_FLOAT, max_size=3))), tolerance=draw(ANY_FLOAT),
+            verdict="strict", classification=classification, trivial=False,
+            n_samples=estimate.n_samples, trials=2, seed=draw(st.integers(0, 2**63)),
+        ),
+        "extraction": ExtractionResult(
+            demixer=A, contrast_value=draw(ANY_FLOAT), converged=draw(st.booleans()),
+            sweeps=draw(st.integers(0, 50)), best_restart=draw(st.integers(0, 4)),
+            restart_objectives=tuple(draw(st.lists(ANY_FLOAT, min_size=1, max_size=3))),
+            trace=tuple(tuple(draw(st.lists(ANY_FLOAT, max_size=3))) for _ in range(2)),
+            whitener=np.eye(n) * draw(st.floats(0.1, 10.0)), n_extracted=m,
+            seed=draw(st.integers(0, 2**63)),
+        ),
+    }
+    if len(classification.present) == n:  # canonical_form needs every column
+        batch["canonical"] = canonical_form(A)
+    return batch
+
+
+def array_shapes(obj):
+    """The shape and dtype of every array in a report, nested ones included."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: array_shapes(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return obj.shape, obj.dtype
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(batch=reports())
+def test_every_report_survives_a_json_round_trip(batch):
+    for name, report in batch.items():
+        encode, decode = REPORT_CODECS[name]
+        text = fmt.canonical_json(encode(report))
+        back = decode(json.loads(text))
+        assert fmt.canonical_json(encode(back)) == text, name
+        assert array_shapes(back) == array_shapes(report), name

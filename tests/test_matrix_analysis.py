@@ -433,7 +433,7 @@ def test_classification_golden_digest():
                     records.append(_analyze(_planted(gen, m, n, r, complex_field)))
     records.append(_analyze(_planted(gen, 3, 4, 1, False), tol=1e-3))
     digest = hashlib.sha256(canonical_json(records).encode()).hexdigest()
-    assert digest == "d7b9b440c2a9907eb8265ed5c017820389c5a1e3f30e25731647601fc8492337"
+    assert digest == "b0330befb29cb02fd6318125e108c4123e7568dee396aa1936d0b657bd68652c"
 
 
 def test_classify_rank_check_matches_rank_of():
