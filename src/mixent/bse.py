@@ -372,7 +372,10 @@ def minimize_contrast(
     The observation is whitened, then an orthonormal frame is optimized by
     pairwise Givens rotations (rotation angle plus, for complex data, a
     phase), restarted from ``restarts`` Haar-random frames.  Restart r draws
-    its frame from the derived stream 1000 + r of ``seed``.
+    its frame from the derived stream 1000 + r of ``seed``.  Each angle and
+    phase line search stops at a 1e-2 rad bracket: over that half-width a
+    pair's contrast moves by about 2.5e-5 nats, well below the standard
+    error of one row's entropy estimate, so a finer search only fits noise.
 
     Raises
     ------
