@@ -202,15 +202,14 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
     return float(hsum - coeff * logdet)
 
 
-def _line_search(f, f0: float, lo: float, hi: float, budget: int):
+def _line_search(f, f0: float, lo: float, hi: float):
     """Coarse grid plus golden-section refinement of a 1-D objective.
 
     ``f0`` is the value at 0 (already known).  A 9-point grid on [lo, hi]
     brackets the minimum, and golden section narrows the bracket until it
-    is ``_LINE_SEARCH_STOP`` wide or ``budget`` evaluations are spent:
-    the entropy estimates cannot resolve the objective any finer.  Returns
-    (t_best, f_best, evals_used); t_best may be 0.0 when nothing beats the
-    start.
+    is ``_LINE_SEARCH_STOP`` wide: the entropy estimates cannot resolve the
+    objective any finer.  Returns (t_best, f_best, evals_used); t_best may
+    be 0.0 when nothing beats the start.
     """
     ts = np.linspace(lo, hi, 9)
     vals = np.empty(9)
@@ -229,7 +228,7 @@ def _line_search(f, f0: float, lo: float, hi: float, budget: int):
     x2 = a + _GOLD * (b - a)
     f1, f2 = f(x1), f(x2)
     evals += 2
-    while (b - a) > _LINE_SEARCH_STOP and evals < budget:
+    while (b - a) > _LINE_SEARCH_STOP:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLD * (b - a)
@@ -324,9 +323,7 @@ def _optimize_frame(
                     scored[t, phase] = hp, hq
                     return v
 
-                theta, f_best, _ = _line_search(
-                    f_theta, f0, -math.pi / 4, math.pi / 4, budget=40
-                )
+                theta, f_best, _ = _line_search(f_theta, f0, -math.pi / 4, math.pi / 4)
                 phase = 1.0
                 if complex_field and abs(theta) > 1e-12:
 
@@ -334,9 +331,7 @@ def _optimize_frame(
                         return f_theta(theta, phase=complex(math.cos(a), math.sin(a)))
 
                     # f_best is f_theta(theta): theta is not 0, so it was scored.
-                    phi, f_phi_best, _ = _line_search(
-                        f_phi, f_best, -math.pi / 2, math.pi / 2, budget=40
-                    )
+                    phi, f_phi_best, _ = _line_search(f_phi, f_best, -math.pi / 2, math.pi / 2)
                     if f_phi_best < f_best:
                         f_best = f_phi_best
                         phase = complex(math.cos(phi), math.sin(phi))

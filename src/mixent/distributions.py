@@ -327,14 +327,16 @@ def sample(model: SourceModel, n_samples: int, seed: int, stream: int = 0) -> np
 
 
 def sample_sources(
-    sources, n_samples: int, seed: int, trial: int = 0
+    sources, n_samples: int, seed: int, trial: int = 0, columns=None
 ) -> np.ndarray:
     """Sample an (n_samples, n) matrix, one column per source model.
 
     Column j of trial t uses the derived stream t * 2^20 + j, so trials and
-    components are independent and reproducible.  All models must live over
-    the same field (else ``UnsupportedFamily``); an empty list raises
-    ``ValueError``.
+    components are independent and reproducible.  ``columns`` lists the
+    source indices to draw, in output order (default: all); each keeps its
+    own stream, so a subset holds exactly the columns of the full draw.  All
+    models must live over the same field (else ``UnsupportedFamily``); an
+    empty list raises ``ValueError``.
     """
     sources = list(sources)
     if not sources:
@@ -342,9 +344,10 @@ def sample_sources(
     if len({s.field for s in sources}) > 1:
         raise UnsupportedFamily("cannot sample models over mixed fields into one array")
     dtype = np.complex128 if sources[0].field == "complex" else np.float64
-    out = np.empty((n_samples, len(sources)), dtype=dtype)
-    for j, s in enumerate(sources):
-        out[:, j] = sample(s, n_samples, seed, stream=(trial << 20) | j)
+    columns = range(len(sources)) if columns is None else list(columns)
+    out = np.empty((n_samples, len(columns)), dtype=dtype)
+    for k, j in enumerate(columns):
+        out[:, k] = sample(sources[j], n_samples, seed, stream=(trial << 20) | j)
     return out
 
 

@@ -252,6 +252,19 @@ def _knn_value(pts: np.ndarray, k: int) -> float:
     return float(digamma(n) - digamma(k) + log_vd + d * np.mean(np.log(eps)))
 
 
+def _has_duplicate_rows(arr: np.ndarray) -> bool:
+    """Whether two rows of the finite 2-D ``arr`` are equal (``-0.0 == 0.0``).
+
+    Equal rows tie in column 0, so one sort of that column settles the
+    common case; only a tie there pays for the full row sort.
+    """
+    c0 = np.sort(arr[:, 0])
+    if not (c0[1:] == c0[:-1]).any():
+        return False
+    rows = arr[np.lexsort(arr.T[::-1])]
+    return bool((rows[1:] == rows[:-1]).all(axis=1).any())
+
+
 def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> EntropyEstimate:
     """Estimate joint entropy by k-nearest-neighbor distances.
 
@@ -288,7 +301,7 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
         raise ValueError("k must be at least 1")
     _require_finite(arr)
 
-    if np.unique(arr, axis=0).shape[0] < n:
+    if _has_duplicate_rows(arr):
         if not jitter:
             raise DuplicatePoints("duplicate sample points with jitter disabled")
         from scipy.special import ndtri

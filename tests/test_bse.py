@@ -354,18 +354,16 @@ LINE_SEARCH_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(LINE_SEARCH_CASES))
-@pytest.mark.parametrize("budget", [12, 40])
-def test_line_search_stops_at_its_width(case, budget):
+def test_line_search_stops_at_its_width(case):
     # Golden section carries the bracket to the stop width, where the better
     # inner point lies within half of it, in at most 20 evaluations.
     import mixent.bse as bse
 
     f, lo, hi, t_star = LINE_SEARCH_CASES[case]
-    t, f_best, evals = bse._line_search(f, f(0.0), lo, hi, budget)
-    assert evals <= min(budget, 20)
+    t, f_best, evals = bse._line_search(f, f(0.0), lo, hi)
+    assert evals <= 20
     assert f_best == f(t)
-    if budget == 40:
-        assert abs(t - t_star) <= bse._LINE_SEARCH_STOP / 2
+    assert abs(t - t_star) <= bse._LINE_SEARCH_STOP / 2
 
 
 def test_line_search_keeps_a_minimum_at_zero():
@@ -377,7 +375,7 @@ def test_line_search_keeps_a_minimum_at_zero():
         calls.append(t)
         return 1.0 + t**2
 
-    t, f_best, evals = bse._line_search(f, 1.0, -np.pi / 4, np.pi / 4, 40)
+    t, f_best, evals = bse._line_search(f, 1.0, -np.pi / 4, np.pi / 4)
     assert (t, f_best) == (0.0, 1.0)
     assert evals == len(calls) <= 20
     assert 0.0 not in calls

@@ -234,6 +234,39 @@ def test_knn_duplicates():
     assert est.value != other.value
 
 
+def duplicate_case(name):
+    pts = np.random.Generator(np.random.Philox(22)).standard_normal((60, 3))
+    if name == "signed_zero":
+        pts[3] = pts[7] = (0.0, 1.0, 2.0)
+        pts[7, 0] = -0.0
+    elif name == "later_column":
+        pts[7, :2] = pts[3, :2]  # rows 3 and 7 tie in columns 0 and 1 only
+    elif name == "repeated":
+        pts[40:] = pts[:20]
+    return pts
+
+
+DUPLICATE_CASES = {"distinct": False, "signed_zero": True, "later_column": False, "repeated": True}
+
+
+@pytest.mark.parametrize("name", sorted(DUPLICATE_CASES))
+def test_knn_duplicate_check_matches_unique(name):
+    # The check sorts column 0 and compares whole rows only on a tie there;
+    # np.unique(axis=0) is the reference, and both take -0.0 == 0.0.
+    from mixent.entropy import _has_duplicate_rows
+
+    pts = duplicate_case(name)
+    duplicate = DUPLICATE_CASES[name]
+    assert (np.unique(pts, axis=0).shape[0] < len(pts)) == duplicate
+    assert _has_duplicate_rows(pts) == duplicate
+    if duplicate:
+        with pytest.raises(DuplicatePoints):
+            knn_entropy(pts, jitter=False)
+        assert np.isfinite(knn_entropy(pts, jitter=True).value)
+    else:
+        assert knn_entropy(pts, jitter=True) == knn_entropy(pts, jitter=False)
+
+
 def test_knn_rejects_non_finite():
     gen = np.random.Generator(np.random.Philox(13))
     pts = gen.standard_normal((500, 2))

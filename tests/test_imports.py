@@ -69,6 +69,10 @@ def verb_inputs(tmp_path_factory):
                               sources=(gaussian(1.0), gaussian(1.0)), n_samples=2000,
                               seed=1)
     fmt.write_json(d / "epi.json", fmt.config_to_dict(cfg))
+    cfg = EpiExperimentConfig(matrix=MixingMatrix.from_array(np.array([[1.0, 0.4, 0.0],
+                                                                       [0.3, 1.0, 0.5]])),
+                              sources=(gaussian(1.0),) * 3, n_samples=2000, seed=1)
+    fmt.write_json(d / "epi_knn.json", fmt.config_to_dict(cfg))
     X = rng.uniform(-1.0, 1.0, size=(1000, 2))
     (d / "scalar.csv").write_text(fmt.samples_csv_text(X[:, :1] + X[:, 1:]))
     (d / "mixed.csv").write_text(fmt.samples_csv_text(X @ np.array([[1.0, 0.4], [0.3, 1.0]]).T))
@@ -85,7 +89,10 @@ VERB_CASES = {
     "entropy-spacing": (["entropy", "--method", "spacing", "--input", "scalar.csv"], set()),
     "entropy-knn": (["entropy", "--method", "knn", "--input", "mixed.csv"],
                     {"spatial", "special"}),
-    "verify-epi": (["verify-epi", "--config", "epi.json"], {"spatial", "special"}),
+    # The identity recovers every source: a closed form, nothing sampled.
+    "verify-epi": (["verify-epi", "--config", "epi.json"], set()),
+    # A two-row tail takes kNN.
+    "verify-epi-knn": (["verify-epi", "--config", "epi_knn.json"], {"spatial", "special"}),
     "extract-real": (["extract", "--input", "mixed.csv", "--m", "2", "--restarts", "1"], set()),
     "extract-complex": (["extract", "--input", "complex.csv", "--m", "1", "--restarts", "1"],
                         {"spatial", "special"}),
