@@ -152,7 +152,6 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
     rhs = gaussian_mix_entropy(A, sigmas)
     present = list(classification.present)
     canon = canonical_form(A.array[:, present], tol=classification.tolerance)
-    rest = [present[k] for k in canon.permutation[canon.r :]]
 
     est = config.estimator
     if canon.r == m:
@@ -160,6 +159,7 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
         method, params = "closed_form", {}
     else:
         T = canon.tail
+        rest = [present[k] for k in canon.permutation[canon.r :]]
         tail_rhs = gaussian_mix_entropy(T, [sigmas[j] for j in rest], A.field)
         values = []
         errors = []
