@@ -22,6 +22,7 @@ from . import distributions as dist
 from .entropy import (
     EstimatorSettings,
     SpacingWorkspace,
+    _block_std_error,
     _knn_value,
     _require_finite,
     estimate_entropy,
@@ -59,6 +60,10 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 # of one row's spacing estimate at 20k points (5e-4 to 3e-3 nats).
 # Narrower brackets only fit noise.
 _LINE_SEARCH_STOP = 1e-2
+
+# Coordinate descent stops after a sweep that lowers the objective by less
+# than this (nats).
+_SWEEP_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -145,25 +150,6 @@ def _demixer_array(W, field: str) -> np.ndarray:
     if field == "real" and np.iscomplexobj(arr):
         raise UnsupportedFamily("complex demixing matrix for real data")
     return np.asarray(arr, dtype=np.complex128 if field == "complex" else np.float64)
-
-
-def _logdet_block_std_error(Y: np.ndarray, W: np.ndarray, coeff: float, blocks: int = 10) -> float:
-    n_samples, dim = Y.shape
-    while blocks > 1 and n_samples // blocks < dim + 1:
-        blocks -= 1
-    if blocks < 2:
-        return 0.0
-    size = n_samples // blocks
-    terms = []
-    for b in range(blocks):
-        block = Y[b * size : (b + 1) * size]
-        kb = W @ sample_covariance(block) @ W.conj().T
-        sign, logdet = np.linalg.slogdet(kb)
-        if sign.real > 0.5:
-            terms.append(coeff * logdet)
-    if len(terms) < 2:
-        return 0.0
-    return float(np.std(terms, ddof=1) / math.sqrt(len(terms)))
 
 
 def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> float:
@@ -285,7 +271,6 @@ def _optimize_frame(
     field: str,
     settings: EstimatorSettings,
     max_sweeps: int,
-    sweep_tol: float,
 ):
     """Coordinate descent over Givens rotations of an orthonormal frame."""
     n = U0.shape[0]
@@ -347,7 +332,7 @@ def _optimize_frame(
                     improvement += f0 - f_best
         sweeps = sweep + 1
         trace.append(float(hvals.sum()))
-        if improvement < sweep_tol:
+        if improvement < _SWEEP_TOL:
             converged = True
             break
     return U, float(hvals.sum()), sweeps, converged, tuple(trace)
@@ -360,7 +345,6 @@ def minimize_contrast(
     restarts: int = 5,
     settings: EstimatorSettings | None = None,
     max_sweeps: int = 50,
-    sweep_tol: float = 1e-5,
 ) -> ExtractionResult:
     """Search for the demixing matrix minimizing the extraction contrast.
 
@@ -398,7 +382,7 @@ def minimize_contrast(
     for r in range(restarts):
         U0 = haar_rows(generator(seed, 1000 + r), n, n, complex_field)
         U, obj, sweeps, conv, trace = _optimize_frame(
-            wobs.samples, n_extract, U0, obs.field, settings, max_sweeps, sweep_tol
+            wobs.samples, n_extract, U0, obs.field, settings, max_sweeps
         )
         objectives.append(obj)
         traces.append(trace)
@@ -501,14 +485,16 @@ def oracle_decompose(
     estimates = [estimate_entropy(Z[:, [i]], field, settings) for i in range(m)]
     hsum = sum(e.value for e in estimates)
     coeff = 0.5 if field == "real" else 1.0
+
+    def log_volume(samples):
+        return coeff * np.linalg.slogdet(Warr @ sample_covariance(samples) @ Warr.conj().T)[1]
+
     # The identity below is exact except for the sample-covariance log-det,
     # so its block-subsampling error belongs in the combined std_error.
-    logdet_se = _logdet_block_std_error(Y, Warr, coeff)
+    logdet_se = _block_std_error(log_volume, Y, min_block=Y.shape[1] + 1)
     std_error = math.sqrt(sum(e.std_error**2 for e in estimates) + logdet_se**2)
     norm_coeff = 1.0 if field == "real" else 2.0
-    K_hat = sample_covariance(Y)
-    _, logdet_hat = np.linalg.slogdet(Warr @ K_hat @ Warr.conj().T)
-    contrast_value = hsum - coeff * logdet_hat
+    contrast_value = hsum - log_volume(Y)
 
     log_norms = np.log(np.linalg.norm(A, axis=1))
     marginal_term = hsum - m * h_common - norm_coeff * float(log_norms.sum())

@@ -29,6 +29,10 @@ __all__ = [
     "BlockPolar",
 ]
 
+# Entrywise tolerance of the 2x2 block checks: the [[a, -b], [b, a]] pattern
+# that unhat inverts, and the symmetry of a scale block.
+_BLOCK_TOL = 1e-10
+
 
 def hat_embed(A) -> np.ndarray:
     """Embed a complex matrix or vector into real coordinates.
@@ -54,21 +58,19 @@ def hat_embed(A) -> np.ndarray:
     return out
 
 
-def unhat(Ahat, tol: float = 1e-10) -> np.ndarray:
+def unhat(Ahat) -> np.ndarray:
     """Invert :func:`hat_embed`, validating the block pattern.
 
     Parameters
     ----------
     Ahat:
         Real array of even length (vector) or even dimensions (matrix).
-    tol:
-        Entrywise tolerance for the [[a, -b], [b, a]] pattern.
 
     Raises
     ------
     BadBlockStructure
-        If dimensions are odd or some 2x2 block breaks the pattern; the
-        message names the first offending block.
+        If dimensions are odd or some 2x2 block breaks the pattern by more
+        than 1e-10; the message names the first offending block.
     """
     arr = np.asarray(Ahat, dtype=np.float64)
     if arr.ndim == 1:
@@ -85,11 +87,11 @@ def unhat(Ahat, tol: float = 1e-10) -> np.ndarray:
     c = arr[1::2, 0::2]
     diag_err = np.abs(a - d)
     off_err = np.abs(b + c)
-    if diag_err.max() > tol or off_err.max() > tol:
+    if diag_err.max() > _BLOCK_TOL or off_err.max() > _BLOCK_TOL:
         err = np.maximum(diag_err, off_err)
         i, j = np.unravel_index(int(err.argmax()), err.shape)
         raise BadBlockStructure(
-            f"block ({i}, {j}) violates the embedding pattern by {err[i, j]:.3e} (tol {tol:.0e})"
+            f"block ({i}, {j}) violates the embedding pattern by {err[i, j]:.3e} (tol {_BLOCK_TOL:.0e})"
         )
     return a + 1j * c
 
@@ -131,7 +133,7 @@ class BlockPolar:
         return (R * np.asarray(self.d)) @ R.T
 
 
-def block_polar(block, tol: float = 1e-10) -> BlockPolar:
+def block_polar(block) -> BlockPolar:
     """Factor a symmetric positive definite 2x2 block as R diag(d) R^T.
 
     Uses the closed-form eigendecomposition of a symmetric 2x2 matrix:
@@ -143,14 +145,14 @@ def block_polar(block, tol: float = 1e-10) -> BlockPolar:
     Raises
     ------
     NotSpd
-        If the block is not symmetric within ``tol`` or not positive
+        If the block is not symmetric within 1e-10 or not positive
         definite.
     """
     arr = np.asarray(block, dtype=np.float64)
     if arr.shape != (2, 2):
         raise NotSpd("block must be 2x2")
-    if abs(arr[0, 1] - arr[1, 0]) > tol:
-        raise NotSpd(f"block is not symmetric within {tol:.0e}")
+    if abs(arr[0, 1] - arr[1, 0]) > _BLOCK_TOL:
+        raise NotSpd(f"block is not symmetric within {_BLOCK_TOL:.0e}")
     a, c = arr[0, 0], arr[1, 1]
     b = 0.5 * (arr[0, 1] + arr[1, 0])
     mu = 0.5 * (a + c)

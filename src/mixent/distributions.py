@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotCircular, UnsupportedFamily
-from .rng import generator, uniform_open
+from .rng import generator, normal_open, uniform_open
 
 __all__ = [
     "SourceModel",
@@ -288,15 +288,12 @@ def sample(model: SourceModel, n_samples: int, seed: int, stream: int = 0) -> np
     (seed, stream), so results are reproducible bit for bit and independent
     streams never overlap.  Complex families return complex128 arrays.
     """
-    from scipy.special import ndtri
-
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = generator(seed, stream)
     p = model.params
     if model.family == "gaussian":
-        u = uniform_open(rng, n_samples)
-        return p.get("mu", 0.0) + p["sigma"] * ndtri(u)
+        return p.get("mu", 0.0) + p["sigma"] * normal_open(rng, n_samples)
     if model.family == "uniform":
         return p["low"] + (p["high"] - p["low"]) * rng.random(n_samples)
     if model.family == "laplace":
@@ -306,17 +303,13 @@ def sample(model: SourceModel, n_samples: int, seed: int, stream: int = 0) -> np
         u = rng.random(n_samples)
         return -np.log1p(-u) / p["rate"]
     if model.family == "gaussian_mixture_2":
-        u_comp = rng.random(n_samples)
-        u = uniform_open(rng, n_samples)
-        which = (u_comp >= p["weights"][0]).astype(int)
-        mus = np.asarray(p["mus"])[which]
-        sigmas = np.asarray(p["sigmas"])[which]
-        return mus + sigmas * ndtri(u)
+        which = (rng.random(n_samples) >= p["weights"][0]).astype(int)
+        z = normal_open(rng, n_samples)
+        return np.asarray(p["mus"])[which] + np.asarray(p["sigmas"])[which] * z
     if model.family == "complex_circular_gaussian":
-        u1 = uniform_open(rng, n_samples)
-        u2 = uniform_open(rng, n_samples)
-        s = p["sigma"] / math.sqrt(2.0)
-        return s * (ndtri(u1) + 1j * ndtri(u2))
+        z1 = normal_open(rng, n_samples)
+        z2 = normal_open(rng, n_samples)
+        return p["sigma"] / math.sqrt(2.0) * (z1 + 1j * z2)
     if model.family == "complex_uniform_disk":
         u1 = rng.random(n_samples)
         u2 = rng.random(n_samples)
@@ -638,10 +631,7 @@ def transport_log_derivative_expectation(tmap: TransportMap1D, n_samples: int, s
     when the target entropy matches the standard normal entropy, and is
     exactly zero for the standard normal target itself.
     """
-    from scipy.special import ndtri
-
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = generator(seed, 0)
-    z = ndtri(uniform_open(rng, n_samples))
+    z = normal_open(generator(seed, 0), n_samples)
     return float(np.mean(np.log(tmap.derivative(z))))

@@ -27,7 +27,7 @@ import numpy as np
 from .complex_embedding import embed_samples
 from .errors import DegenerateData, DuplicatePoints, RankDeficient, TooFewSamples
 from .matrix_analysis import as_array
-from .rng import generator, uniform_open
+from .rng import generator, normal_open
 
 __all__ = [
     "EstimatorSettings",
@@ -304,13 +304,10 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
     if _has_duplicate_rows(arr):
         if not jitter:
             raise DuplicatePoints("duplicate sample points with jitter disabled")
-        from scipy.special import ndtri
-
-        rng = generator(seed, 0xD1CE)
         scale = arr.std(axis=0)
         fallback = max(1.0, float(np.abs(arr).max()))
         scale = np.where(scale > 0, scale, fallback)
-        arr = arr + 1e-10 * scale * ndtri(uniform_open(rng, arr.shape))
+        arr = arr + 1e-10 * scale * normal_open(generator(seed, 0xD1CE), arr.shape)
 
     value = _knn_value(arr, k)
     se = _block_std_error(lambda blk: _knn_value(blk, k), arr, min_block=max(10, k + 2))

@@ -41,7 +41,7 @@ from .matrix_analysis import (
     log_concavity_gap_blocks,
     rank_of,
 )
-from .rng import generator, haar_rows, uniform_open
+from .rng import generator, haar_rows, normal_open
 
 __all__ = [
     "EpiExperimentConfig",
@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 _GAUSSIAN_FAMILIES = {"gaussian", "complex_circular_gaussian"}
+
+# Lemma-sweep instances: shapes (m, n) with 2 <= m < n <= 6, and the
+# interval of their positive scales.
+_LEMMA_SHAPES = tuple((m, n) for n in range(3, 7) for m in range(2, n))
+_LEMMA_SCALES = (0.1, 10.0)
 
 
 @dataclass(frozen=True)
@@ -306,53 +311,37 @@ class LemmaSweepReport:
     threshold: float
 
 
-def run_lemma2_sweep(
-    count: int,
-    max_m: int = 5,
-    max_n: int = 6,
-    seed: int = 0,
-    lam_range: tuple[float, float] = (0.1, 10.0),
-) -> LemmaSweepReport:
+def run_lemma2_sweep(count: int, seed: int = 0) -> LemmaSweepReport:
     """Randomized sweep of the log-determinant concavity inequality.
 
-    Each instance draws a shape (m, n) with 2 <= m < n <= max_n (and
-    m <= max_m), a Haar orthonormal-row matrix, and positive scales from
-    ``lam_range``, then records log det(Q L Q^T) - tr(Q log L Q^T), which
-    must be nonnegative.  Two sub-sweeps run alongside: equal scales (gap
-    identically zero) and 2x2-block scales through the complex embedding.
+    Each instance draws a shape (m, n) with 2 <= m < n <= 6, a Haar
+    orthonormal-row matrix, and positive scales uniform on [0.1, 10], then
+    records log det(Q L Q^T) - tr(Q log L Q^T), which must be nonnegative.
+    Two sub-sweeps of ``max(1, count // 10)`` run alongside: equal scales
+    (gap identically zero) and 2x2-block scales through the complex embedding.
     """
-    if not (2 <= max_m < max_n <= 8):
-        raise ValueError("need 2 <= max_m < max_n <= 8")
-    shapes = [
-        (m, n) for n in range(3, max_n + 1) for m in range(2, min(max_m, n - 1) + 1)
-    ]
-    lo, hi = lam_range
-    if not (0 < lo < hi):
-        raise ValueError("lam_range must be increasing and positive")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    lo, hi = _LEMMA_SCALES
+
+    def draw(stream, complex_field):
+        rng = generator(seed, stream)
+        m, n = _LEMMA_SHAPES[int(rng.integers(len(_LEMMA_SHAPES)))]
+        return rng, n, haar_rows(rng, m, n, complex_field)
 
     gaps = np.empty(count)
     for t in range(count):
-        rng = generator(seed, t)
-        m, n = shapes[int(rng.integers(len(shapes)))]
-        Q = haar_rows(rng, m, n, complex_field=False)
-        lam = lo + (hi - lo) * rng.random(n)
-        gaps[t] = log_concavity_gap(Q, lam)
+        rng, n, Q = draw(t, False)
+        gaps[t] = log_concavity_gap(Q, lo + (hi - lo) * rng.random(n))
 
-    n_eq = max(1, count // 10)
-    eq_gaps = np.empty(n_eq)
-    for t in range(n_eq):
-        rng = generator(seed, 1_000_000 + t)
-        m, n = shapes[int(rng.integers(len(shapes)))]
-        Q = haar_rows(rng, m, n, complex_field=False)
-        c = lo + (hi - lo) * rng.random()
-        eq_gaps[t] = log_concavity_gap(Q, np.full(n, c))
-
-    n_blk = max(1, count // 10)
-    blk_gaps = np.empty(n_blk)
-    for t in range(n_blk):
-        rng = generator(seed, 2_000_000 + t)
-        m, n = shapes[int(rng.integers(len(shapes)))]
-        Qc = haar_rows(rng, m, n, complex_field=True)
+    n_sub = max(1, count // 10)
+    eq_gaps = np.empty(n_sub)
+    blk_gaps = np.empty(n_sub)
+    for t in range(n_sub):
+        rng, n, Q = draw(1_000_000 + t, False)
+        eq_gaps[t] = log_concavity_gap(Q, np.full(n, lo + (hi - lo) * rng.random()))
+    for t in range(n_sub):
+        rng, n, Qc = draw(2_000_000 + t, True)
         blocks = []
         for _ in range(n):
             d = lo + (hi - lo) * rng.random(2)
@@ -369,9 +358,9 @@ def run_lemma2_sweep(
         min_gap=float(gaps.min()),
         median_gap=float(np.median(gaps)),
         max_gap=float(gaps.max()),
-        equal_scale_count=n_eq,
+        equal_scale_count=n_sub,
         equal_scale_max_abs_gap=float(np.abs(eq_gaps).max()),
-        block_count=n_blk,
+        block_count=n_sub,
         block_violations=int(np.count_nonzero(blk_gaps < -threshold)),
         block_min_gap=float(blk_gaps.min()),
         threshold=threshold,
@@ -412,13 +401,10 @@ def expectation_inequality_check(Q, targets, n_samples: int, seed: int) -> float
             )
         maps.append(dist.quantile_transport(t))
 
-    from scipy.special import ndtri
-
     n = arr.shape[1]
     lam = np.empty((n_samples, n))
     for j in range(n):
-        z = ndtri(uniform_open(generator(seed, j), n_samples))
-        lam[:, j] = maps[j].derivative(z)
+        lam[:, j] = maps[j].derivative(normal_open(generator(seed, j), n_samples))
     mats = np.einsum("ik,sk,jk->sij", arr, lam, arr, optimize=True)
     sign, logdet = np.linalg.slogdet(mats)
     if np.any(sign <= 0):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_embedding import unhat
+from .complex_embedding import _BLOCK_TOL, unhat
 from .errors import (
     AlreadySquare,
     BadBlockStructure,
@@ -417,7 +417,7 @@ def log_concavity_gap_blocks(Qhat, blocks) -> float:
     arr = np.asarray(Qhat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] % 2 or arr.shape[1] % 2:
         raise BadBlockStructure("embedded matrix must have even dimensions")
-    Qc = unhat(arr, tol=1e-10)
+    Qc = unhat(arr)
     _check_orthonormal_rows(Qc)
     m2, n2 = arr.shape
     nblocks = n2 // 2
@@ -430,8 +430,8 @@ def log_concavity_gap_blocks(Qhat, blocks) -> float:
     for j, b in enumerate(blocks):
         if b.shape != (2, 2):
             raise NotSpd("blocks must be 2x2")
-        if abs(b[0, 1] - b[1, 0]) > 1e-10:
-            raise NotSpd("block is not symmetric within 1e-10")
+        if abs(b[0, 1] - b[1, 0]) > _BLOCK_TOL:
+            raise NotSpd(f"block is not symmetric within {_BLOCK_TOL:.0e}")
         bs = 0.5 * (b + b.T)
         w, V = np.linalg.eigh(bs)
         if w[0] <= 0:

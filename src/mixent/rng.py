@@ -42,6 +42,13 @@ def uniform_open(rng: np.random.Generator, size) -> np.ndarray:
     return np.clip(u, tiny, 1.0 - 2.0 ** -53)
 
 
+def normal_open(rng: np.random.Generator, size) -> np.ndarray:
+    """Standard normal variates: scipy's ``ndtri`` of ``uniform_open``."""
+    from scipy.special import ndtri
+
+    return ndtri(uniform_open(rng, size))
+
+
 def haar_rows(rng: np.random.Generator, m: int, n: int, complex_field: bool) -> np.ndarray:
     """m orthonormal rows of length n (m <= n), Haar distributed.
 

@@ -342,14 +342,10 @@ def test_lemma_sweep_deterministic():
 
 
 def test_lemma_sweep_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="count must be at least 1, got 0"):
         run_lemma2_sweep(0)
-    with pytest.raises(ValueError):
-        run_lemma2_sweep(10, max_m=6, max_n=6)
-    with pytest.raises(ValueError):
-        run_lemma2_sweep(10, max_m=2, max_n=9)
-    with pytest.raises(ValueError):
-        run_lemma2_sweep(10, lam_range=(1.0, 0.5))
+    with pytest.raises(ValueError, match="count must be at least 1, got -3"):
+        run_lemma2_sweep(-3)
 
 
 def test_expectation_inequality_normal_targets_zero():

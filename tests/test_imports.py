@@ -61,6 +61,8 @@ def verb_inputs(tmp_path_factory):
     rng = np.random.default_rng(5)
     fmt.write_json(d / "sources.json",
                    [fmt.model_to_dict(m) for m in (unit_variance_uniform(), gaussian(1.0))])
+    fmt.write_json(d / "uniforms.json",
+                   [fmt.model_to_dict(unit_variance_uniform()) for _ in range(2)])
     fmt.write_json(d / "mix.json", fmt.matrix_to_dict(MixingMatrix.from_array(
         np.array([[1.0, 0.4], [0.3, 1.0]]))))
     fmt.write_json(d / "matrix.json", fmt.matrix_to_dict(MixingMatrix.from_array(
@@ -73,6 +75,9 @@ def verb_inputs(tmp_path_factory):
                                                                        [0.3, 1.0, 0.5]])),
                               sources=(gaussian(1.0),) * 3, n_samples=2000, seed=1)
     fmt.write_json(d / "epi_knn.json", fmt.config_to_dict(cfg))
+    cfg = EpiExperimentConfig(matrix=MixingMatrix.from_array(np.ones((1, 3)) / np.sqrt(3.0)),
+                              sources=(unit_variance_uniform(),) * 3, n_samples=2000, seed=1)
+    fmt.write_json(d / "epi_uniform.json", fmt.config_to_dict(cfg))
     X = rng.uniform(-1.0, 1.0, size=(1000, 2))
     (d / "scalar.csv").write_text(fmt.samples_csv_text(X[:, :1] + X[:, 1:]))
     (d / "mixed.csv").write_text(fmt.samples_csv_text(X @ np.array([[1.0, 0.4], [0.3, 1.0]]).T))
@@ -85,12 +90,17 @@ def verb_inputs(tmp_path_factory):
 VERB_CASES = {
     "generate": (["generate", "--sources", "sources.json", "--n", "200", "--mix", "mix.json"],
                  {"special"}),
+    # Only the Gaussian-based families draw normals.
+    "generate-uniform": (["generate", "--sources", "uniforms.json", "--n", "200", "--mix",
+                          "mix.json"], set()),
     "analyze-matrix": (["analyze-matrix", "--input", "matrix.json"], set()),
     "entropy-spacing": (["entropy", "--method", "spacing", "--input", "scalar.csv"], set()),
     "entropy-knn": (["entropy", "--method", "knn", "--input", "mixed.csv"],
                     {"spatial", "special"}),
     # The identity recovers every source: a closed form, nothing sampled.
     "verify-epi": (["verify-epi", "--config", "epi.json"], set()),
+    # A one-row tail of uniforms takes spacings on uniform draws.
+    "verify-epi-uniform-tail": (["verify-epi", "--config", "epi_uniform.json"], set()),
     # A two-row tail takes kNN.
     "verify-epi-knn": (["verify-epi", "--config", "epi_knn.json"], {"spatial", "special"}),
     "extract-real": (["extract", "--input", "mixed.csv", "--m", "2", "--restarts", "1"], set()),
