@@ -8,7 +8,7 @@ blindly extract sources from observed mixtures.
 Modules
 -------
 matrix_analysis     recoverability, canonical form, log-det concavity
-complex_embedding   complex-to-real embedding and 2x2 block polar form
+complex_embedding   the field rule, complex-to-real embedding, 2x2 block polar form
 distributions       source models, sampling, entropy, transport maps
 entropy             spacing and nearest-neighbor entropy estimators
 epi_lab             Monte Carlo verification harness for the bound

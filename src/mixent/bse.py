@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
+from .complex_embedding import dtype_of, field_of, real_dims
 from .entropy import (
     EstimatorSettings,
     SpacingWorkspace,
@@ -79,8 +80,8 @@ class Observation:
         arr = np.asarray(samples)
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError("samples must be a 2-D array with at least two rows")
-        field = "complex" if np.iscomplexobj(arr) else "real"
-        arr = arr.astype(np.complex128 if field == "complex" else np.float64)
+        field = field_of(arr)
+        arr = arr.astype(dtype_of(field))
         _require_finite(arr)
         return cls(samples=arr, field=field)
 
@@ -131,14 +132,15 @@ def whiten(obs: Observation):
 
 def _row_scorer(field: str, n: int, settings: EstimatorSettings):
     """Entropy estimate of one row of n samples: m-spacings in one reused
-    workspace for real rows (sorting the row in place), kNN on (re, im) for
-    complex ones, each looked up in this module at call time so traced runs
-    count it.  Raises ValueError for a real window outside [1, n // 2]."""
+    workspace for real rows (sorting the row in place), kNN on the (re, im)
+    float64 view of a contiguous complex row otherwise, each looked up in
+    this module at call time so traced runs count it.  Raises ValueError
+    for a real window outside [1, n // 2]."""
     if field == "real":
         window = spacing_window(n, settings.spacing_m)
         work = SpacingWorkspace(n, window)
         return lambda z: spacing_entropy_value(z, window, work)
-    return lambda z: _knn_value(np.column_stack((z.real, z.imag)), settings.knn_k)
+    return lambda z: _knn_value(z.view(np.float64).reshape(-1, 2), settings.knn_k)
 
 
 def _marginal_entropy_value(z: np.ndarray, field: str, settings: EstimatorSettings) -> float:
@@ -149,15 +151,15 @@ def _demixer_array(W, field: str) -> np.ndarray:
     arr = np.asarray(W)
     if field == "real" and np.iscomplexobj(arr):
         raise UnsupportedFamily("complex demixing matrix for real data")
-    return np.asarray(arr, dtype=np.complex128 if field == "complex" else np.float64)
+    return np.asarray(arr, dtype=dtype_of(field))
 
 
 def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> float:
     """Extraction contrast: marginal entropy estimates minus log volume.
 
-    Real field: sum_i h(w_i Y) - log det(W K W^T) / 2.  Complex field the
-    log-determinant coefficient is 1, which makes the value exactly
-    invariant to rescaling any row of W in both fields.
+    sum_i h(w_i Y) - (d / 2) log det(W K W^H) with d real dimensions per
+    entry (1 real, 2 complex), which makes the value exactly invariant to
+    rescaling any row of W in both fields.
 
     Raises
     ------
@@ -184,8 +186,7 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
         _marginal_entropy_value(Z[:, i], obs.field, settings)
         for i in range(arr.shape[0])
     )
-    coeff = 0.5 if obs.field == "real" else 1.0
-    return float(hsum - coeff * logdet)
+    return float(hsum - real_dims(obs.field) / 2 * logdet)
 
 
 def _line_search(f, f0: float, lo: float, hi: float):
@@ -484,25 +485,24 @@ def oracle_decompose(
 
     estimates = [estimate_entropy(Z[:, [i]], field, settings) for i in range(m)]
     hsum = sum(e.value for e in estimates)
-    coeff = 0.5 if field == "real" else 1.0
+    d = real_dims(field)
 
     def log_volume(samples):
-        return coeff * np.linalg.slogdet(Warr @ sample_covariance(samples) @ Warr.conj().T)[1]
+        return d / 2 * np.linalg.slogdet(Warr @ sample_covariance(samples) @ Warr.conj().T)[1]
 
     # The identity below is exact except for the sample-covariance log-det,
     # so its block-subsampling error belongs in the combined std_error.
     logdet_se = _block_std_error(log_volume, Y, min_block=Y.shape[1] + 1)
     std_error = math.sqrt(sum(e.std_error**2 for e in estimates) + logdet_se**2)
-    norm_coeff = 1.0 if field == "real" else 2.0
     contrast_value = hsum - log_volume(Y)
 
     log_norms = np.log(np.linalg.norm(A, axis=1))
-    marginal_term = hsum - m * h_common - norm_coeff * float(log_norms.sum())
+    marginal_term = hsum - m * h_common - d * float(log_norms.sum())
     _, logdet_rows = np.linalg.slogdet(A @ A.conj().T)
-    alignment_term = norm_coeff * float(log_norms.sum()) - coeff * logdet_rows
+    alignment_term = d * float(log_norms.sum()) - d / 2 * logdet_rows
     K_model = np.diag([dist.variance(s) for s in sources])
     _, logdet_model = np.linalg.slogdet(A @ K_model @ A.conj().T)
-    residual = coeff * (logdet_rows - logdet_model)
+    residual = d / 2 * (logdet_rows - logdet_model)
     identity_gap = contrast_value - marginal_term - alignment_term - residual - m * h_common
 
     return ContrastDecomposition(

@@ -11,6 +11,11 @@ Key identities, for complex matrices A and B of compatible shapes:
 * embed(A B) = embed(A) embed(B)
 * embed(A^H) = embed(A)^T
 * det(embed(A)) = |det(A)|^2 for square A
+
+The embedding is also the package's one field rule: a field has
+``real_dims`` d = 1 (real) or 2 (complex) real dimensions per entry, and
+each field-dependent formula is written once in terms of d.  Complex
+vectors embed as views, since complex128 memory is interleaved (re, im).
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ import numpy as np
 from .errors import BadBlockStructure, NotSpd
 
 __all__ = [
+    "field_of",
+    "dtype_of",
+    "real_dims",
     "hat_embed",
     "unhat",
     "embed_samples",
@@ -34,19 +42,34 @@ __all__ = [
 _BLOCK_TOL = 1e-10
 
 
+def field_of(arr) -> str:
+    """``"complex"`` for an array with a complex dtype, else ``"real"``."""
+    return "complex" if np.iscomplexobj(arr) else "real"
+
+
+def real_dims(field: str) -> int:
+    """Real dimensions per entry: 1 for ``"real"``, 2 for ``"complex"``;
+    ValueError for any other field."""
+    if field not in ("real", "complex"):
+        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+    return 2 if field == "complex" else 1
+
+
+def dtype_of(field: str):
+    """The array dtype of a field: float64 or complex128."""
+    return np.complex128 if real_dims(field) == 2 else np.float64
+
+
 def hat_embed(A) -> np.ndarray:
     """Embed a complex matrix or vector into real coordinates.
 
     A matrix of shape (m, n) maps to shape (2m, 2n) with 2x2 blocks
     [[re, -im], [im, re]]; a vector of length n maps to length 2n with
-    interleaved real and imaginary parts.
+    interleaved real and imaginary parts, as a view of a fresh copy.
     """
-    arr = np.asarray(A, dtype=np.complex128)
+    arr = np.array(A, dtype=np.complex128)
     if arr.ndim == 1:
-        out = np.empty(2 * arr.size, dtype=np.float64)
-        out[0::2] = arr.real
-        out[1::2] = arr.imag
-        return out
+        return arr.view(np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a vector or a 2-D matrix")
     m, n = arr.shape
@@ -65,6 +88,7 @@ def unhat(Ahat) -> np.ndarray:
     ----------
     Ahat:
         Real array of even length (vector) or even dimensions (matrix).
+        A vector comes back as a complex128 view of a fresh copy.
 
     Raises
     ------
@@ -76,7 +100,7 @@ def unhat(Ahat) -> np.ndarray:
     if arr.ndim == 1:
         if arr.size % 2:
             raise BadBlockStructure("vector length must be even")
-        return arr[0::2] + 1j * arr[1::2]
+        return np.array(arr).view(np.complex128)
     if arr.ndim != 2:
         raise ValueError("expected a vector or a 2-D matrix")
     if arr.shape[0] % 2 or arr.shape[1] % 2:
@@ -101,16 +125,11 @@ def embed_samples(Z) -> np.ndarray:
 
     Each row is embedded as an interleaved vector, matching the vector
     convention of :func:`hat_embed`, so real estimators see the same
-    geometry that embedded matrices act on.
+    geometry that embedded matrices act on.  The result is a float64 view
+    of a fresh C-order complex128 copy, never of ``Z`` itself.
     """
-    arr = np.asarray(Z, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    n_samples, n_dims = arr.shape
-    out = np.empty((n_samples, 2 * n_dims), dtype=np.float64)
-    out[:, 0::2] = arr.real
-    out[:, 1::2] = arr.imag
-    return out
+    arr = np.array(Z, dtype=np.complex128, order="C")
+    return (arr[:, None] if arr.ndim == 1 else arr).view(np.float64)
 
 
 @dataclass(frozen=True)

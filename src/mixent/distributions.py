@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .complex_embedding import dtype_of, real_dims
 from .errors import NotCircular, UnsupportedFamily
 from .rng import generator, normal_open, uniform_open
 
@@ -209,8 +210,10 @@ def exact_entropy(model: SourceModel) -> float:
     adaptive quadrature to absolute accuracy better than 1e-10.
     """
     p = model.params
-    if model.family == "gaussian":
-        return 0.5 * math.log(2 * math.pi * math.e * p["sigma"] ** 2)
+    if model.family in ("gaussian", "complex_circular_gaussian"):
+        # Variance sigma^2 spread over d real dimensions.
+        d = real_dims(model.field)
+        return d / 2 * math.log(2 * math.pi * math.e * p["sigma"] ** 2 / d)
     if model.family == "uniform":
         return math.log(p["high"] - p["low"])
     if model.family == "laplace":
@@ -219,8 +222,6 @@ def exact_entropy(model: SourceModel) -> float:
         return 1.0 - math.log(p["rate"])
     if model.family == "gaussian_mixture_2":
         return _mixture_entropy(p)
-    if model.family == "complex_circular_gaussian":
-        return math.log(math.pi * math.e * p["sigma"] ** 2)
     if model.family == "complex_uniform_disk":
         return math.log(math.pi * p["radius"] ** 2)
     raise UnsupportedFamily(model.family)
@@ -336,9 +337,8 @@ def sample_sources(
         raise ValueError("need at least one source")
     if len({s.field for s in sources}) > 1:
         raise UnsupportedFamily("cannot sample models over mixed fields into one array")
-    dtype = np.complex128 if sources[0].field == "complex" else np.float64
     columns = range(len(sources)) if columns is None else list(columns)
-    out = np.empty((n_samples, len(columns)), dtype=dtype)
+    out = np.empty((n_samples, len(columns)), dtype=dtype_of(sources[0].field))
     for k, j in enumerate(columns):
         out[:, k] = sample(sources[j], n_samples, seed, stream=(trial << 20) | j)
     return out
@@ -393,9 +393,9 @@ class DiagonalScaling:
 def normalize_entropies(models) -> tuple[list[SourceModel], DiagonalScaling]:
     """Rescale models so all entropies are equal (to zero).
 
-    Each real model X_j is replaced by X_j / delta_j with
-    delta_j = exp(h(X_j)); complex models use delta_j = exp(h(X_j) / 2)
-    because scaling shifts their entropy by twice the log factor.  All
+    Each model X_j is replaced by X_j / delta_j with
+    delta_j = exp(h(X_j) / d), d real dimensions per entry (2 for complex
+    models, whose entropy a scaling shifts by twice the log factor).  All
     models must live over the same field.
 
     Returns the scaled models and the recorded scalings.
@@ -406,12 +406,11 @@ def normalize_entropies(models) -> tuple[list[SourceModel], DiagonalScaling]:
     fields = {m.field for m in models}
     if len(fields) > 1:
         raise UnsupportedFamily("cannot normalize models over mixed fields")
-    fld = fields.pop()
+    d = real_dims(fields.pop())
     deltas = []
     scaled = []
     for m in models:
-        h = exact_entropy(m)
-        delta = math.exp(h) if fld == "real" else math.exp(h / 2.0)
+        delta = math.exp(exact_entropy(m) / d)
         deltas.append(delta)
         scaled.append(scale_model(m, 1.0 / delta))
     return scaled, DiagonalScaling(deltas=tuple(deltas))
@@ -419,10 +418,8 @@ def normalize_entropies(models) -> tuple[list[SourceModel], DiagonalScaling]:
 
 def match_entropy(model: SourceModel, target_entropy: float) -> SourceModel:
     """Rescale one model to the requested entropy."""
-    h = exact_entropy(model)
-    if model.field == "real":
-        return scale_model(model, math.exp(target_entropy - h))
-    return scale_model(model, math.exp((target_entropy - h) / 2.0))
+    d = real_dims(model.field)
+    return scale_model(model, math.exp((target_entropy - exact_entropy(model)) / d))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_embedding import embed_samples
+from .complex_embedding import embed_samples, field_of, real_dims
 from .errors import DegenerateData, DuplicatePoints, RankDeficient, TooFewSamples
 from .matrix_analysis import as_array
 from .rng import generator, normal_open
@@ -287,9 +287,7 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
         Some samples are not finite.
     """
     arr = np.asarray(samples)
-    if np.iscomplexobj(arr):
-        arr = embed_samples(arr)
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = embed_samples(arr) if np.iscomplexobj(arr) else np.asarray(arr, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -318,7 +316,7 @@ def estimate_entropy(Y: np.ndarray, field: str, settings: EstimatorSettings) -> 
     """Joint entropy of the (N, d) sample ``Y`` over ``field``: spacings for
     one real column, k-nearest neighbors otherwise (complex data through the
     real embedding)."""
-    if field == "real" and Y.shape[1] == 1:
+    if real_dims(field) * Y.shape[1] == 1:
         return spacing_entropy(Y[:, 0], m=settings.spacing_m)
     return knn_entropy(Y, k=settings.knn_k, seed=settings.jitter_seed)
 
@@ -326,24 +324,20 @@ def estimate_entropy(Y: np.ndarray, field: str, settings: EstimatorSettings) -> 
 def surrogate_sigma(entropy_nats: float, field: str = "real") -> GaussianSurrogate:
     """Scale of the Gaussian whose entropy equals ``entropy_nats``.
 
-    Real field: h = log(2 pi e sigma^2) / 2, so sigma = e^h / sqrt(2 pi e).
-    Complex field: h = log(pi e sigma^2), so sigma = e^{h/2} / sqrt(pi e).
+    Over d real dimensions per entry (d = 2 for the complex field),
+    h = (d / 2) log(2 pi e sigma^2 / d), so sigma = e^{h/d} / sqrt(2 pi e / d).
     """
-    if field == "real":
-        sigma = math.exp(entropy_nats) / math.sqrt(2 * math.pi * math.e)
-    elif field == "complex":
-        sigma = math.exp(entropy_nats / 2.0) / math.sqrt(math.pi * math.e)
-    else:
-        raise ValueError(f"unknown field {field!r}")
+    d = real_dims(field)
+    sigma = math.exp(entropy_nats / d) / math.sqrt(2 * math.pi * math.e / d)
     return GaussianSurrogate(sigma=sigma, entropy=float(entropy_nats), field=field)
 
 
-def gaussian_mix_entropy(A, sigmas, field: str | None = None) -> float:
+def gaussian_mix_entropy(A, sigmas) -> float:
     """Entropy of A X for independent Gaussians X_j with scales sigmas.
 
-    Real field: (m/2) log(2 pi e) + log det(A S A^T) / 2 with
-    S = diag(sigma_j^2).  Complex field (circular components):
-    m log(pi e) + log det(A S A^H).
+    With S = diag(sigma_j^2) and d real dimensions per entry of A's field
+    (d = 2 for complex A and circular components):
+    (d m / 2) log(2 pi e / d) + (d / 2) log det(A S A^H).
 
     Raises
     ------
@@ -351,7 +345,7 @@ def gaussian_mix_entropy(A, sigmas, field: str | None = None) -> float:
         If A S A^H is singular, where the entropy is minus infinity.
     """
     arr = as_array(A)
-    fld = field if field is not None else ("complex" if np.iscomplexobj(arr) else "real")
+    d = real_dims(field_of(arr))
     sig = np.asarray(sigmas, dtype=np.float64)
     if sig.ndim != 1 or sig.size != arr.shape[1]:
         raise ValueError("sigmas must have one entry per column of A")
@@ -362,6 +356,4 @@ def gaussian_mix_entropy(A, sigmas, field: str | None = None) -> float:
     if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= max(arr.shape) * np.finfo(np.float64).eps * sv[0]:
         raise RankDeficient("A diag(sigma) is rank deficient; the mixture entropy is -inf")
     log_det_half = float(np.log(sv).sum())
-    if fld == "real":
-        return 0.5 * m * math.log(2 * math.pi * math.e) + log_det_half
-    return m * math.log(math.pi * math.e) + 2.0 * log_det_half
+    return 0.5 * d * m * math.log(2 * math.pi * math.e / d) + d * log_det_half

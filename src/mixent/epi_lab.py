@@ -165,7 +165,7 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
     else:
         T = canon.tail
         rest = [present[k] for k in canon.permutation[canon.r :]]
-        tail_rhs = gaussian_mix_entropy(T, [sigmas[j] for j in rest], A.field)
+        tail_rhs = gaussian_mix_entropy(T, [sigmas[j] for j in rest])
         values = []
         errors = []
         for t in range(config.trials):
@@ -213,12 +213,13 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
 
 @dataclass(frozen=True)
 class EqualityCaseResult:
-    """One equality-suite entry: expectation, measured gap, and outcome."""
+    """One equality-suite entry: expectation, measured gap, and outcome.
+    A trivial (rank-deficient) trial is an ``ok`` equality with no gap."""
 
     expected: str
-    gap: float
-    std_error: float
-    tolerance: float
+    gap: float | None
+    std_error: float | None
+    tolerance: float | None
     margin: float | None
     margin_provenance: dict | None
     verdict: str
@@ -233,23 +234,17 @@ class EqualitySuiteReport:
     all_pass: bool
 
 
-def _expectation_for(config: EpiExperimentConfig) -> str:
-    cls = classify_components(config.matrix.array)
-    tail = set(cls.present) - set(cls.recoverable)
-    gaussian_tail = all(config.sources[j].family in _GAUSSIAN_FAMILIES for j in tail)
-    return "equality" if gaussian_tail else "strict"
-
-
 def run_equality_suite(configs, margins=None) -> EqualitySuiteReport:
     """Check equality where the unrecoverable tail is Gaussian, strictness
     elsewhere.
 
-    Expectations are derived from the component classification: the gap
-    should vanish (within tolerance) exactly when every present but
-    unrecoverable component is Gaussian.  For strict cases a positive lower
-    margin is required; pass one per config in ``margins`` where a closed
-    form is known, otherwise half the gap of a larger pilot run is used and
-    recorded in the result.
+    Expectations are derived from the trial's component classification:
+    the gap should vanish (within tolerance) exactly when every present but
+    unrecoverable component is Gaussian.  A rank-deficient config, a
+    trivial trial, is a passing equality without a gap.  For strict cases a
+    positive lower margin is required; pass one per config in ``margins``
+    where a closed form is known, otherwise half the gap of a larger pilot
+    run is used and recorded in the result.
     """
     configs = list(configs)
     if margins is None:
@@ -259,10 +254,15 @@ def run_equality_suite(configs, margins=None) -> EqualitySuiteReport:
 
     cases = []
     for config, margin in zip(configs, margins):
-        expected = _expectation_for(config)
         report = run_epi_trial(config)
+        cls = report.classification
+        tail = () if report.trivial else set(cls.present) - set(cls.recoverable)
+        gaussian_tail = all(config.sources[j].family in _GAUSSIAN_FAMILIES for j in tail)
+        expected = "equality" if gaussian_tail else "strict"
         provenance = None
-        if expected == "strict":
+        if report.trivial:
+            ok = True
+        elif expected == "strict":
             if margin is None:
                 pilot_n = min(10 * config.n_samples, 200_000)
                 pilot = run_epi_trial(

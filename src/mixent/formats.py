@@ -21,6 +21,7 @@ import numpy as np
 
 from . import distributions as dist
 from .bse import ContrastDecomposition, ExtractionResult, SeparationQuality
+from .complex_embedding import dtype_of, embed_samples, field_of, real_dims
 from .entropy import EntropyEstimate, EstimatorSettings
 from .epi_lab import EpiExperimentConfig, EpiReport
 from .errors import DegenerateData
@@ -138,8 +139,10 @@ def _entry(x, field: str):
 
 def _data_to_array(data, field: str) -> np.ndarray:
     """Rows of JSON numbers (or [re, im] pairs) as a float64 or complex128
-    array; a row that is not a list, a row of another length than the
-    first, or an entry that is not a number raises ValueError naming it."""
+    array; an unknown field, a row that is not a list, a row of another
+    length than the first, or an entry that is not a number raises
+    ValueError naming it."""
+    dtype = dtype_of(field)
     if not isinstance(data, (list, tuple)):
         raise ValueError(f"matrix data must be a list of rows, got {data!r}")
     rows = []
@@ -157,7 +160,7 @@ def _data_to_array(data, field: str) -> np.ndarray:
             except ValueError as e:
                 raise ValueError(f"matrix data row {i}, entry {j}: {e}") from None
         rows.append(out)
-    return np.array(rows, dtype=np.complex128 if field == "complex" else np.float64)
+    return np.array(rows, dtype=dtype)
 
 
 def matrix_to_dict(matrix) -> dict:
@@ -175,8 +178,6 @@ def matrix_from_dict(d: dict) -> MixingMatrix:
         if key not in d:
             raise ValueError(f"matrix object is missing {key!r}")
     field = d["field"]
-    if field not in ("real", "complex"):
-        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     arr = _data_to_array(d["data"], field)
     if arr.shape != (_int(d["rows"], "matrix 'rows'"), _int(d["cols"], "matrix 'cols'")):
         raise ValueError(
@@ -217,6 +218,12 @@ def sources_from_obj(obj) -> tuple[dist.SourceModel, ...]:
     return tuple(models)
 
 
+def _csv_columns(n: int, field: str) -> list[str]:
+    """Sample CSV column names: s1..sn, or s1_re,s1_im,.. for complex."""
+    parts = ("_re", "_im") if field == "complex" else ("",)
+    return [f"s{j + 1}{part}" for j in range(n) for part in parts]
+
+
 def samples_csv_text(samples: np.ndarray) -> str:
     """CSV text for samples: columns s1..sn, or s1_re,s1_im,.. for complex.
 
@@ -226,17 +233,11 @@ def samples_csv_text(samples: np.ndarray) -> str:
     arr = np.asarray(samples)
     if arr.ndim != 2:
         raise ValueError("samples must be a 2-D array")
-    n = arr.shape[1]
-    lines = []
+    names = _csv_columns(arr.shape[1], field_of(arr))
     if np.iscomplexobj(arr):
-        header = ",".join(f"s{j + 1}_re,s{j + 1}_im" for j in range(n))
-        for row in arr:
-            lines.append(",".join(f"{repr(float(x.real))},{repr(float(x.imag))}" for x in row))
-    else:
-        header = ",".join(f"s{j + 1}" for j in range(n))
-        for row in arr:
-            lines.append(",".join(repr(float(x)) for x in row))
-    return header + "\n" + "\n".join(lines) + "\n"
+        arr = embed_samples(arr)
+    lines = [",".join(map(repr, row)) for row in arr.astype(np.float64).tolist()]
+    return ",".join(names) + "\n" + "\n".join(lines) + "\n"
 
 
 def write_samples_csv(path, samples: np.ndarray) -> None:
@@ -246,33 +247,39 @@ def write_samples_csv(path, samples: np.ndarray) -> None:
 def read_samples_csv(path):
     """Read a samples CSV; returns (array, field).
 
-    Raises DegenerateData, naming the line and the column, on a NaN or
-    infinite value.
+    Complex samples come back as the complex128 view of the (re, im)
+    columns.  Raises ValueError, naming the line and the column, on a cell
+    that is not a number, and DegenerateData on a NaN or infinite value.
     """
     text = Path(path).read_text()
     lines = [(i, ln) for i, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty samples file")
     header = [h.strip() for h in lines[0][1].split(",")]
-    complex_field = any(h.endswith("_re") for h in header)
-    if complex_field:
-        if len(header) % 2 != 0:
-            raise ValueError("complex samples need paired _re/_im columns")
-        n = len(header) // 2
-        expected = [f"s{j + 1}_{p}" for j in range(n) for p in ("re", "im")]
-    else:
-        n = len(header)
-        expected = [f"s{j + 1}" for j in range(n)]
+    field = "complex" if any(h.endswith("_re") for h in header) else "real"
+    d = real_dims(field)
+    if len(header) % d:
+        raise ValueError("complex samples need paired _re/_im columns")
+    expected = _csv_columns(len(header) // d, field)
     if header != expected:
         raise ValueError(f"unexpected CSV header {header}, expected {expected}")
     if len(lines) == 1:
         raise ValueError("no sample rows")
     rows = []
     for i, ln in lines[1:]:
-        fields = ln.split(",")
-        if len(fields) != len(header):
-            raise ValueError(f"line {i} has {len(fields)} fields, the header has {len(header)}")
-        rows.append([float(v) for v in fields])
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"line {i} has {len(cells)} fields, the header has {len(header)}")
+        try:
+            rows.append([float(v) for v in cells])
+        except ValueError:
+            for name, v in zip(header, cells):
+                try:
+                    float(v)
+                except ValueError:
+                    raise ValueError(
+                        f"line {i}, column {name}: value {v.strip()!r} is not a number"
+                    ) from None
     raw = np.array(rows, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(raw))
     if bad.size:
@@ -281,9 +288,7 @@ def read_samples_csv(path):
         raise DegenerateData(
             f"line {i}, column {header[col]}: value {ln.split(',')[col].strip()!r} is not finite"
         )
-    if complex_field:
-        return raw[:, 0::2] + 1j * raw[:, 1::2], "complex"
-    return raw, "real"
+    return raw.view(dtype_of(field)), field
 
 
 def estimate_to_dict(e: EntropyEstimate) -> dict:
@@ -310,7 +315,7 @@ def classification_to_dict(c: ComponentClassification) -> dict:
     d = dataclasses.asdict(c)
     d["present"] = [j + 1 for j in c.present]
     d["recoverable"] = [j + 1 for j in c.recoverable]
-    d["field"] = "complex" if np.iscomplexobj(c.witnesses) else "real"
+    d["field"] = field_of(c.witnesses)
     if len(c.witnesses) == 0:
         d["rows"] = c.witnesses.shape[1]
     return _plain(d)
@@ -324,9 +329,8 @@ def classification_from_dict(d: dict) -> ComponentClassification:
     if data:
         witnesses = _data_to_array(data, field)
     else:
-        dtype = np.complex128 if field == "complex" else np.float64
         rows = _int(d.get("rows", 0), "classification 'rows'")
-        witnesses = np.zeros((0, rows), dtype=dtype)
+        witnesses = np.zeros((0, rows), dtype=dtype_of(field))
     return ComponentClassification(
         present=tuple(int(j) - 1 for j in d["present"]),
         recoverable=tuple(int(j) - 1 for j in d["recoverable"]),

@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_embedding import _BLOCK_TOL, unhat
+from .complex_embedding import block_polar, dtype_of, field_of, real_dims, unhat
 from .errors import (
     AlreadySquare,
     BadBlockStructure,
     NonPositiveLambda,
     NotOrthonormal,
-    NotSpd,
     RankDeficient,
     ZeroColumn,
 )
@@ -49,13 +48,6 @@ __all__ = [
     "log_concavity_gap",
     "log_concavity_gap_blocks",
 ]
-
-_FIELDS = ("real", "complex")
-
-
-def _infer_field(arr: np.ndarray) -> str:
-    return "complex" if np.iscomplexobj(arr) else "real"
-
 
 @dataclass(frozen=True)
 class MixingMatrix:
@@ -77,14 +69,9 @@ class MixingMatrix:
         arr = np.asarray(self.array)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("matrix must be 2-D with at least one row and column")
-        if self.field not in _FIELDS:
-            raise ValueError(f"field must be one of {_FIELDS}, got {self.field!r}")
-        if self.field == "real":
-            if np.iscomplexobj(arr):
-                raise ValueError("real matrix has complex entries")
-            arr = arr.astype(np.float64)
-        else:
-            arr = arr.astype(np.complex128)
+        if real_dims(self.field) == 1 and np.iscomplexobj(arr):
+            raise ValueError("real matrix has complex entries")
+        arr = arr.astype(dtype_of(self.field))
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "array", arr)
@@ -92,7 +79,7 @@ class MixingMatrix:
     @classmethod
     def from_array(cls, arr, field: str | None = None) -> "MixingMatrix":
         arr = np.asarray(arr)
-        return cls(arr, field if field is not None else _infer_field(arr))
+        return cls(arr, field if field is not None else field_of(arr))
 
     @property
     def rows(self) -> int:
@@ -110,8 +97,7 @@ def as_array(A) -> np.ndarray:
     arr = np.asarray(A)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(np.float64)
+    arr = arr.astype(dtype_of(field_of(arr)))
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
@@ -156,8 +142,7 @@ class CanonicalDecomposition:
         """The canonical block matrix [[I_r, 0], [0, tail]]."""
         m = self.B.shape[0]
         n = len(self.permutation)
-        dtype = np.complex128 if self.field == "complex" else np.float64
-        out = np.zeros((m, n), dtype=dtype)
+        out = np.zeros((m, n), dtype=dtype_of(self.field))
         out[: self.r, : self.r] = np.eye(self.r)
         out[self.r :, self.r :] = self.tail
         return out
@@ -302,7 +287,7 @@ def canonical_form(A, tol: float | None = None) -> CanonicalDecomposition:
 
     permuted = B @ arr[:, list(perm)]
     tail = permuted[r:, r:].copy()
-    return CanonicalDecomposition(B=B, permutation=perm, r=r, tail=tail, field=_infer_field(arr))
+    return CanonicalDecomposition(B=B, permutation=perm, r=r, tail=tail, field=field_of(arr))
 
 
 def gram_schmidt_rows(A) -> OrthonormalReduction:
@@ -401,9 +386,14 @@ def log_concavity_gap_blocks(Qhat, blocks) -> float:
     """Block version of :func:`log_concavity_gap` for embedded complex maps.
 
     ``Qhat`` must be the 2x2-block real embedding of a complex matrix with
-    orthonormal rows, and ``blocks`` a sequence of n symmetric positive
-    definite 2x2 matrices forming a block-diagonal scale matrix.  The gap
+    orthonormal rows, and ``blocks`` an iterable of n symmetric positive
+    definite 2x2 matrices forming a block-diagonal scale matrix L.  The gap
     log det(Qhat L Qhat^T) - tr(Qhat log(L) Qhat^T) is nonnegative.
+
+    With each block factored as R_j diag(d_j) R_j^T by :func:`block_polar`,
+    rotating column pair j of Qhat by R_j keeps its rows orthonormal and
+    makes the scale diagonal, so the gap is :func:`log_concavity_gap` of
+    the rotated matrix and the eigenvalues d.
 
     Raises
     ------
@@ -417,31 +407,9 @@ def log_concavity_gap_blocks(Qhat, blocks) -> float:
     arr = np.asarray(Qhat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] % 2 or arr.shape[1] % 2:
         raise BadBlockStructure("embedded matrix must have even dimensions")
-    Qc = unhat(arr)
-    _check_orthonormal_rows(Qc)
-    m2, n2 = arr.shape
-    nblocks = n2 // 2
-    blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
-    if len(blocks) != nblocks:
-        raise ValueError(f"expected {nblocks} blocks, got {len(blocks)}")
-
-    L = np.zeros((n2, n2))
-    logL = np.zeros((n2, n2))
-    for j, b in enumerate(blocks):
-        if b.shape != (2, 2):
-            raise NotSpd("blocks must be 2x2")
-        if abs(b[0, 1] - b[1, 0]) > _BLOCK_TOL:
-            raise NotSpd(f"block is not symmetric within {_BLOCK_TOL:.0e}")
-        bs = 0.5 * (b + b.T)
-        w, V = np.linalg.eigh(bs)
-        if w[0] <= 0:
-            raise NotSpd("block is not positive definite")
-        L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = bs
-        logL[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (V * np.log(w)) @ V.T
-
-    Mmat = arr @ L @ arr.T
-    sign, logdet = np.linalg.slogdet(Mmat)
-    if sign <= 0:
-        raise NotSpd("Qhat L Qhat^T is not positive definite")
-    trace_term = float(np.trace(arr @ logL @ arr.T))
-    return float(logdet - trace_term)
+    _check_orthonormal_rows(unhat(arr))
+    polars = [block_polar(b) for b in blocks]
+    if 2 * len(polars) != arr.shape[1]:
+        raise ValueError(f"expected {arr.shape[1] // 2} blocks, got {len(polars)}")
+    rotated = np.hstack([arr[:, 2 * j : 2 * j + 2] @ p.rotation() for j, p in enumerate(polars)])
+    return log_concavity_gap(rotated, [x for p in polars for x in p.d])

@@ -395,6 +395,12 @@ def test_entropy_non_finite_sample_names_line_and_column(tmp_path, capsys):
     )
 
 
+def test_entropy_non_numeric_sample_names_line_and_column(tmp_path, capsys):
+    (tmp_path / "text.csv").write_text("s1,s2\n" + "1.0,2.0\n" * 60 + "3.0,abc\n")
+    assert main(["entropy", "--input", str(tmp_path / "text.csv"), "--method", "knn"]) == 4
+    assert "ValueError: line 62, column s2: value 'abc' is not a number" in capsys.readouterr().err
+
+
 def test_help_via_console_script():
     cmd, env = console_script("--help")
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)

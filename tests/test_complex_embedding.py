@@ -44,6 +44,39 @@ def test_embed_samples_interleaves_columns():
     assert_allclose(E[1], [5.0, 6.0, 7.0, 8.0], atol=1e-15)
 
 
+def test_vector_embeddings_never_alias_their_input():
+    # The embeddings are views of fresh copies: writing into a result must
+    # not reach the caller's array, whatever its layout.
+    gen = np.random.Generator(np.random.Philox(203))
+    Z = random_complex(gen, (6, 3))
+    inputs = {
+        "embed_samples": (embed_samples, Z),
+        "embed_samples 1-D": (embed_samples, Z[:, 0].copy()),
+        "embed_samples Fortran": (embed_samples, np.asfortranarray(Z)),
+        "hat_embed": (hat_embed, Z[0].copy()),
+        "hat_embed strided": (hat_embed, Z[:, 1]),
+        "unhat": (unhat, gen.standard_normal(8)),
+        "unhat strided": (unhat, gen.standard_normal(16)[::2]),
+    }
+    for name, (fn, arr) in inputs.items():
+        before = arr.copy()
+        out = fn(arr)
+        out[...] = 7.0
+        assert np.array_equal(arr, before), name
+        assert not np.shares_memory(out, arr), name
+
+
+def test_vector_embeddings_keep_every_bit():
+    # complex128 memory is the interleaved (re, im) layout, so embedding and
+    # un-embedding copy bits, signed zeros included.
+    z = np.array([complex(-0.0, 1.5), complex(2.0, -0.0), complex(1e-310, -3.0)])
+    v = hat_embed(z)
+    assert v.tobytes() == np.column_stack((z.real, z.imag)).tobytes()
+    assert unhat(v).tobytes() == z.tobytes()
+    assert embed_samples(z[None, :]).tobytes() == v.tobytes()
+    assert embed_samples(z).shape == (3, 2)
+
+
 def test_hat_identities_random():
     gen = np.random.Generator(np.random.Philox(201))
     for _ in range(20):

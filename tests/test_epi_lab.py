@@ -312,6 +312,20 @@ def test_equality_suite_mixed_expectations():
     assert suite.cases[0].margin is None
 
 
+def test_equality_suite_records_a_rank_deficient_config_as_trivial_equality():
+    # Both sides of the bound are minus infinity, which run_epi_trial reports
+    # as a trivial near_equality; the suite must not classify the matrix again.
+    cfg = config(np.ones((2, 2)), [unit_variance_uniform()] * 2)
+    assert run_epi_trial(cfg).trivial
+    suite = run_equality_suite([cfg])
+    (case,) = suite.cases
+    assert case.expected == "equality"
+    assert case.ok and suite.all_pass
+    assert case.gap is None and case.std_error is None and case.tolerance is None
+    assert case.margin is None and case.margin_provenance is None
+    assert case.verdict == "near_equality"
+
+
 def test_equality_suite_accepts_explicit_margins():
     cfgs = [config(AVG_ROW, [unit_variance_uniform()] * 2)]
     suite = run_equality_suite(cfgs, margins=[0.1])

@@ -199,6 +199,17 @@ def test_samples_csv_header_validation(tmp_path):
         fmt.read_samples_csv(path)
 
 
+def test_complex_samples_csv_round_trip_keeps_every_bit(tmp_path):
+    # The reader returns the complex view of the (re, im) columns, so signed
+    # zeros come back as written.
+    z = np.array([[complex(-0.0, 1.5), complex(2.0, -0.0)], [complex(0.1, -0.0), complex(-0.0, -0.0)]])
+    path = tmp_path / "z.csv"
+    fmt.write_samples_csv(path, z)
+    back, field = fmt.read_samples_csv(path)
+    assert field == "complex"
+    assert back.dtype == np.complex128 and back.tobytes() == z.tobytes()
+
+
 def test_samples_csv_ragged_row_names_line(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("s1,s2\n1.0,2.0\n\n3.0\n")
@@ -210,6 +221,13 @@ def test_samples_csv_non_finite_names_line_and_column(tmp_path):
     path = tmp_path / "inf.csv"
     path.write_text("s1_re,s1_im,s2_re,s2_im\n1.0,2.0,3.0,4.0\n\n5.0,6.0,7.0,-inf\n")
     with pytest.raises(DegenerateData, match=r"^line 4, column s2_im: value '-inf' is not finite$"):
+        fmt.read_samples_csv(path)
+
+
+def test_samples_csv_non_numeric_names_line_and_column(tmp_path):
+    path = tmp_path / "text.csv"
+    path.write_text("s1,s2\n1.0,2.0\n\n3.0, abc\n")
+    with pytest.raises(ValueError, match=r"^line 4, column s2: value 'abc' is not a number$"):
         fmt.read_samples_csv(path)
 
 

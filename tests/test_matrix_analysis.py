@@ -337,6 +337,46 @@ def test_log_concavity_gap_blocks_nonnegative_random():
         assert log_concavity_gap_blocks(Qhat, blocks) >= -1e-9
 
 
+def _blocks_gap_by_eigh(Qhat, blocks):
+    # Reference: the dense block-diagonal L and its logarithm from eigh.
+    n2 = Qhat.shape[1]
+    L = np.zeros((n2, n2))
+    logL = np.zeros((n2, n2))
+    for j, b in enumerate(blocks):
+        w, V = np.linalg.eigh(b)
+        L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = b
+        logL[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (V * np.log(w)) @ V.T
+    return np.linalg.slogdet(Qhat @ L @ Qhat.T)[1] - np.trace(Qhat @ logL @ Qhat.T)
+
+
+def test_log_concavity_gap_blocks_matches_eigh_reference():
+    gen = np.random.Generator(np.random.Philox(110))
+    for _ in range(200):
+        m = int(gen.integers(1, 4))
+        n = int(gen.integers(m + 1, 6))
+        Qhat = hat_embed(gram_schmidt_rows(gen.standard_normal((m, n)) + 1j * gen.standard_normal((m, n))).Q)
+        blocks = []
+        for _ in range(n):
+            g = gen.standard_normal((2, 2))
+            blocks.append(g @ g.T + 0.05 * np.eye(2))
+        assert abs(log_concavity_gap_blocks(Qhat, blocks) - _blocks_gap_by_eigh(Qhat, blocks)) <= 1e-12
+        # Any iterable of blocks is accepted.
+        assert log_concavity_gap_blocks(Qhat, iter(blocks)) == log_concavity_gap_blocks(Qhat, blocks)
+
+
+def test_log_concavity_gap_blocks_of_diagonal_blocks_is_the_diagonal_gap():
+    gen = np.random.Generator(np.random.Philox(111))
+    for _ in range(50):
+        m = int(gen.integers(1, 4))
+        n = int(gen.integers(m + 1, 6))
+        Qhat = hat_embed(gram_schmidt_rows(gen.standard_normal((m, n)) + 1j * gen.standard_normal((m, n))).Q)
+        lam = 0.1 + 10.0 * gen.random(2 * n)
+        blocks = [np.diag(lam[2 * j : 2 * j + 2]) for j in range(n)]
+        # Qhat read as a real orthonormal-row matrix on the diagonal scales.
+        expected = log_concavity_gap(Qhat, lam)
+        assert log_concavity_gap_blocks(Qhat, blocks) == pytest.approx(expected, abs=1e-12)
+
+
 def test_log_concavity_gap_blocks_errors():
     Qhat = hat_embed(np.full((1, 2), 2**-0.5))
     with pytest.raises(NotSpd):
