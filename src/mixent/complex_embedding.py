@@ -67,9 +67,9 @@ def hat_embed(A) -> np.ndarray:
     [[re, -im], [im, re]]; a vector of length n maps to length 2n with
     interleaved real and imaginary parts, as a view of a fresh copy.
     """
-    arr = np.array(A, dtype=np.complex128)
+    arr = np.asarray(A, dtype=np.complex128)
     if arr.ndim == 1:
-        return arr.view(np.float64)
+        return np.array(arr).view(np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a vector or a 2-D matrix")
     m, n = arr.shape
