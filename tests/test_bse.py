@@ -331,7 +331,7 @@ def test_minimize_contrast_seeded_golden():
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)
-    assert _extraction_digest(res) == "5335071c4994594cee1cd2e68c5ed7511432aee16cb23f34f32e8ca2e80e1799"
+    assert _extraction_digest(res) == "28841c0e7596f07204bd18bddc68345a1f7ccb58893d2b3a46fa4b1eee604966"
 
 
 def test_complex_two_row_extraction_seeded_golden():
