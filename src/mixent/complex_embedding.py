@@ -93,8 +93,9 @@ def unhat(Ahat) -> np.ndarray:
     Raises
     ------
     BadBlockStructure
-        If dimensions are odd or some 2x2 block breaks the pattern by more
-        than 1e-10; the message names the first offending block.
+        If dimensions are odd, or some 2x2 block has a non-finite entry or
+        breaks the pattern by more than 1e-10; the message names the first
+        offending block in row-major order.
     """
     arr = np.asarray(Ahat, dtype=np.float64)
     if arr.ndim == 1:
@@ -106,18 +107,24 @@ def unhat(Ahat) -> np.ndarray:
     if arr.shape[0] % 2 or arr.shape[1] % 2:
         raise BadBlockStructure("matrix dimensions must be even")
     a = arr[0::2, 0::2]
-    d = arr[1::2, 1::2]
-    b = arr[0::2, 1::2]
     c = arr[1::2, 0::2]
-    diag_err = np.abs(a - d)
-    off_err = np.abs(b + c)
-    if diag_err.max() > _BLOCK_TOL or off_err.max() > _BLOCK_TOL:
-        err = np.maximum(diag_err, off_err)
-        i, j = np.unravel_index(int(err.argmax()), err.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        err = np.maximum(np.abs(a - arr[1::2, 1::2]), np.abs(arr[0::2, 1::2] + c))
+    # A non-finite entry makes its block's error inf or NaN (inf - inf), and
+    # NaN compares False, so the test is written to fail on it.
+    bad = ~(err <= _BLOCK_TOL)
+    if bad.any():
+        i, j = (int(k) for k in np.argwhere(bad)[0])
+        if not np.isfinite(arr[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]).all():
+            raise BadBlockStructure(f"block ({i}, {j}) has a non-finite entry")
         raise BadBlockStructure(
             f"block ({i}, {j}) violates the embedding pattern by {err[i, j]:.3e} (tol {_BLOCK_TOL:.0e})"
         )
-    return a + 1j * c
+    # Copied, not computed as a + 1j * c, which would turn -0-0j into -0+0j.
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real = a
+    out.imag = c
+    return out
 
 
 def embed_samples(Z) -> np.ndarray:

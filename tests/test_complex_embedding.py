@@ -111,6 +111,33 @@ def test_unhat_rejects_unpaired_blocks():
         unhat(np.ones(3))
 
 
+def test_matrix_unhat_keeps_every_bit():
+    # The matrix branch copies the real and imaginary parts, so signed
+    # zeros survive the round trip; a + 1j * c would give -0+0j for -0-0j.
+    A = np.array(
+        [
+            [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)],
+            [complex(1.5, -0.0), complex(-0.0, -2.5), complex(1e-310, 3.0)],
+        ]
+    )
+    out = unhat(hat_embed(A))
+    assert out.dtype == np.complex128
+    assert out.tobytes() == A.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry", [complex(2.0, np.inf), complex(np.inf, 0.0), complex(-np.inf, np.inf), complex(np.nan, 1.0)]
+)
+def test_matrix_unhat_rejects_non_finite_entries(entry):
+    H = hat_embed(np.array([[1.0 + 1.0j, 0.5j], [-1.0, entry]]))
+    with pytest.raises(BadBlockStructure, match=r"block \(1, 1\) has a non-finite entry"):
+        unhat(H)
+    # A bad pattern earlier in row-major order is named first.
+    H[0, 1] += 1.0
+    with pytest.raises(BadBlockStructure, match=r"block \(0, 0\) violates the embedding pattern"):
+        unhat(H)
+
+
 def test_block_polar_identity():
     bp = block_polar(np.eye(2))
     assert bp.theta == pytest.approx(0.0, abs=1e-12)
