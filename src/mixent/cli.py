@@ -35,7 +35,7 @@ from pathlib import Path
 from . import formats
 from .bse import Observation, minimize_contrast, separation_quality
 from .distributions import check_sources, sample_sources
-from .entropy import knn_entropy, spacing_entropy
+from .entropy import knn_entropy, spacing_entropy, spacings_apply
 from .epi_lab import run_epi_trial
 from .errors import MixentError, UsageError
 from .matrix_analysis import canonical_form, classify_components, rank_of
@@ -107,7 +107,7 @@ def _cmd_verify_epi(args) -> int:
 def _cmd_entropy(args) -> int:
     samples, field = formats.read_samples_csv(args.input)
     if args.method == "spacing":
-        if field != "real" or samples.shape[1] != 1:
+        if not spacings_apply(field, samples.shape[1]):
             raise ValueError("the spacing method needs a single real column")
         estimate = spacing_entropy(samples[:, 0], m=args.m_spacing)
     else:

@@ -37,6 +37,7 @@ __all__ = [
     "spacing_entropy",
     "spacing_entropy_value",
     "knn_entropy",
+    "spacings_apply",
     "estimate_entropy",
     "surrogate_sigma",
     "gaussian_mix_entropy",
@@ -312,11 +313,16 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
     return EntropyEstimate(value=value, method="knn", n_samples=n, params={"k": int(k)}, std_error=se)
 
 
+def spacings_apply(field: str, columns: int) -> bool:
+    """Whether the m-spacing estimator applies: exactly one real column."""
+    return real_dims(field) * columns == 1
+
+
 def estimate_entropy(Y: np.ndarray, field: str, settings: EstimatorSettings) -> EntropyEstimate:
     """Joint entropy of the (N, d) sample ``Y`` over ``field``: spacings for
     one real column, k-nearest neighbors otherwise (complex data through the
     real embedding)."""
-    if real_dims(field) * Y.shape[1] == 1:
+    if spacings_apply(field, Y.shape[1]):
         return spacing_entropy(Y[:, 0], m=settings.spacing_m)
     return knn_entropy(Y, k=settings.knn_k, seed=settings.jitter_seed)
 

@@ -227,6 +227,16 @@ def test_entropy_spacing_needs_one_real_column(tmp_path, capsys):
     assert main(["entropy", "--input", str(tmp_path / "z.csv"), "--method", "spacing"]) == 4
 
 
+@pytest.mark.parametrize("samples", [np.zeros((50, 2)), np.zeros((50, 1), dtype=complex)], ids=["two_real", "complex"])
+def test_entropy_spacing_rejection_message(tmp_path, capsys, samples):
+    # The check shares estimate_entropy's rule; its message and exit code
+    # are the cli's own.
+    path = tmp_path / "s.csv"
+    path.write_text(fmt.samples_csv_text(samples))
+    assert main(["entropy", "--input", str(path), "--method", "spacing"]) == 4
+    assert "the spacing method needs a single real column" in capsys.readouterr().err
+
+
 def test_entropy_too_few_samples_exit_code(tmp_path, capsys):
     (tmp_path / "tiny.csv").write_text("s1\n" + "".join(f"{i}.0\n" for i in range(5)))
     assert main(["entropy", "--input", str(tmp_path / "tiny.csv"), "--method", "spacing"]) == 19

@@ -22,7 +22,14 @@ from mixent import (
     surrogate_sigma,
     uniform,
 )
-from mixent.entropy import SpacingWorkspace, default_spacing_window, spacing_entropy_value
+from mixent.entropy import (
+    EstimatorSettings,
+    SpacingWorkspace,
+    default_spacing_window,
+    estimate_entropy,
+    spacing_entropy_value,
+    spacings_apply,
+)
 
 H_NORMAL = 0.5 * np.log(2 * np.pi * np.e)
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None)
@@ -189,6 +196,18 @@ def test_spacing_value_scale_equivariant(seed, n, m_frac, a, sign):
     m = 1 + int(m_frac * (n // 2 - 1))
     shift = spacing_entropy_value(sign * a * x, m) - spacing_entropy_value(x, m)
     assert abs(shift - math.log(a)) <= 1e-12
+
+
+def test_spacings_apply_to_one_real_column_only():
+    # The one rule behind estimate_entropy's choice and the cli's spacing check.
+    assert spacings_apply("real", 1)
+    assert not spacings_apply("real", 2)
+    assert not spacings_apply("complex", 1)
+    with pytest.raises(ValueError, match="field must be"):
+        spacings_apply("quaternion", 1)
+    x = sample(gaussian(1.0), 2000, 4)
+    assert estimate_entropy(x[:, None], "real", EstimatorSettings()).method == "spacing"
+    assert estimate_entropy(np.column_stack((x, x[::-1])), "real", EstimatorSettings()).method == "knn"
 
 
 def test_knn_two_dimensional_normal():
