@@ -292,6 +292,23 @@ def test_minimize_contrast_sweep_budget_flagged():
     assert np.isfinite(res.contrast_value)
 
 
+def test_minimize_contrast_stops_at_the_first_sweep_below_tolerance():
+    # Criterion 9's shape: each restart sweeps while a sweep gains at least
+    # 1e-3 nats, the resolution of one row's entropy estimate at 20k points,
+    # and stops after the first one that gains less.
+    tol = 1e-3
+    gen = np.random.Generator(np.random.Philox(9001))
+    M, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), 20000, 1)
+    max_sweeps = 50
+    res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=1, max_sweeps=max_sweeps)
+    assert len(res.trace) == 5
+    for r, trajectory in enumerate(res.trace):
+        gains = -np.diff(trajectory)
+        assert np.all(gains[:-1] >= tol), (r, gains)
+        assert gains[-1] < tol or len(gains) == max_sweeps, (r, gains)
+
+
 def test_minimize_contrast_validation():
     X, obs = uniform_observation(2, 2000, 35)
     with pytest.raises(ValueError):
