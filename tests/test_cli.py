@@ -221,19 +221,10 @@ def test_entropy_spacing_needs_one_real_column(tmp_path, capsys):
     src = write_sources(tmp_path / "s.json", [gaussian(1.0)] * 2)
     main(["generate", "--sources", src, "--n", "100", "--seed", "1", "--out", str(tmp_path / "xy.csv")])
     assert main(["entropy", "--input", str(tmp_path / "xy.csv"), "--method", "spacing"]) == 4
-    capsys.readouterr()
+    assert "the spacing method needs a single real column" in capsys.readouterr().err
     csrc = write_sources(tmp_path / "c.json", [circular_gaussian(1.0)])
     main(["generate", "--sources", csrc, "--n", "100", "--seed", "1", "--out", str(tmp_path / "z.csv")])
     assert main(["entropy", "--input", str(tmp_path / "z.csv"), "--method", "spacing"]) == 4
-
-
-@pytest.mark.parametrize("samples", [np.zeros((50, 2)), np.zeros((50, 1), dtype=complex)], ids=["two_real", "complex"])
-def test_entropy_spacing_rejection_message(tmp_path, capsys, samples):
-    # The check shares estimate_entropy's rule; its message and exit code
-    # are the cli's own.
-    path = tmp_path / "s.csv"
-    path.write_text(fmt.samples_csv_text(samples))
-    assert main(["entropy", "--input", str(path), "--method", "spacing"]) == 4
     assert "the spacing method needs a single real column" in capsys.readouterr().err
 
 
