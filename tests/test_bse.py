@@ -315,6 +315,11 @@ def test_minimize_contrast_validation():
         minimize_contrast(obs, 0)
     with pytest.raises(ValueError):
         minimize_contrast(obs, 3)
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        minimize_contrast(obs, 1, restarts=0)
+    for max_sweeps in (0, -3):
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            minimize_contrast(obs, 1, max_sweeps=max_sweeps)
     small = Observation.from_samples(X[:999])
     with pytest.raises(TooFewSamples):
         minimize_contrast(small, 1)
@@ -468,6 +473,43 @@ def test_real_search_scores_through_bse_spacing_binding(monkeypatch):
     # Both rows of the single pair are scored at every evaluation.
     assert evals[0] > 0
     assert inside[0] == 2 * evals[0]
+
+
+@pytest.mark.parametrize("n_samples", [20000, 3000])
+def test_restarts_search_a_subsample_and_the_polish_all_the_data(n_samples, monkeypatch):
+    # From 10k points on, the restarts score rows of every stride-th point
+    # (5000 of 20k), and only the last descent, the polish of the best
+    # restart's frame, scores rows of all the points.  Below 10k points
+    # every descent scores all of them.
+    import mixent.bse as bse
+
+    rows, depth = [], [0]
+    spacing, optimize = bse.spacing_entropy_value, bse._optimize_frame
+
+    def counted_spacing(z, *args):
+        if depth[0]:
+            rows[-1].add(z.shape[0])
+        return spacing(z, *args)
+
+    def counted_optimize(*args):
+        rows.append(set())
+        depth[0] += 1
+        try:
+            return optimize(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(bse, "spacing_entropy_value", counted_spacing)
+    monkeypatch.setattr(bse, "_optimize_frame", counted_optimize)
+    gen = np.random.Generator(np.random.Philox(9001))
+    M, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), n_samples, 1)
+    res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=1)
+    if n_samples == 20000:
+        assert rows == [{5000}] * 5 + [{20000}]
+    else:
+        assert rows == [{3000}] * 5
+    assert res.restart_objectives[res.best_restart] == min(res.restart_objectives)
 
 
 def test_complex_search_scores_through_bse_knn_binding(monkeypatch):
