@@ -158,11 +158,19 @@ def _marginal_entropy_value(z: np.ndarray, field: str, settings: EstimatorSettin
     return _row_scorer(field, z.shape[0], settings)(z.copy())
 
 
-def _demixer_array(W, field: str) -> np.ndarray:
+def _demixer_array(W, field: str, channels: int) -> np.ndarray:
+    """W over ``field``: UnsupportedFamily for a complex W on real data,
+    ValueError unless it has ``channels`` columns, RankDeficient for
+    linearly dependent rows."""
     arr = np.asarray(W)
     if field == "real" and np.iscomplexobj(arr):
         raise UnsupportedFamily("complex demixing matrix for real data")
-    return np.asarray(arr, dtype=dtype_of(field))
+    arr = np.asarray(arr, dtype=dtype_of(field))
+    if arr.ndim != 2 or arr.shape[1] != channels:
+        raise ValueError("W must be a matrix with one column per observed channel")
+    if rank_of(arr) < arr.shape[0]:
+        raise RankDeficient("demixing matrix has linearly dependent rows")
+    return arr
 
 
 def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> float:
@@ -182,11 +190,7 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
         Real data with ``settings.spacing_m`` outside [1, N // 2].
     """
     settings = settings or EstimatorSettings()
-    arr = _demixer_array(W, obs.field)
-    if arr.ndim != 2 or arr.shape[1] != obs.samples.shape[1]:
-        raise ValueError("W must be a matrix with one column per observed channel")
-    if rank_of(arr) < arr.shape[0]:
-        raise RankDeficient("demixing matrix has linearly dependent rows")
+    arr = _demixer_array(W, obs.field, obs.samples.shape[1])
     K = sample_covariance(obs.samples)
     G = arr @ K @ arr.conj().T
     sign, logdet = np.linalg.slogdet(G)
@@ -382,7 +386,9 @@ def minimize_contrast(
     The search runs in two stages.  The restarts only have to find the
     basin of a separating frame, so they search every ``stride``-th
     whitened point, ``stride = max(1, N // 5000)``: 5000 to 10,000 points
-    once N reaches 10,000, and all N below that.  When ``stride > 1`` the
+    once N reaches 10,000, and all N below that.  An explicit real
+    ``settings.spacing_m`` = m lowers the stride to at most N // (2 m), so
+    the restarts search at least 2 m points.  When ``stride > 1`` the
     best restart's frame is then polished by the same descent, with the
     same stop rules and ``max_sweeps``, on all N points.
 
@@ -400,8 +406,7 @@ def minimize_contrast(
         Numerically singular observation covariance.
     ValueError
         ``restarts`` or ``max_sweeps`` below 1, or real data with
-        ``settings.spacing_m`` outside [1, n // 2] for the n points the
-        restarts search.
+        ``settings.spacing_m`` outside [1, N // 2].
     """
     settings = settings or EstimatorSettings()
     N, n = obs.samples.shape
@@ -413,10 +418,12 @@ def minimize_contrast(
         raise ValueError("restarts must be at least 1")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
+    stride = max(1, N // _COARSE_POINTS)
+    if obs.field == "real" and settings.spacing_m is not None:
+        stride = max(1, min(stride, N // (2 * spacing_window(N, settings.spacing_m))))
 
     wobs, C = whiten(obs)
     complex_field = obs.field == "complex"
-    stride = max(1, N // _COARSE_POINTS)
     best = None
     objectives = []
     traces = []
@@ -502,8 +509,11 @@ def oracle_decompose(
     Raises
     ------
     ValueError
-        If the source entropies are not all equal (normalize them first), or
-        there is not one source per mixing column.
+        If the source entropies are not all equal (normalize them first),
+        there is not one source per mixing column, or W does not have one
+        column per mixing row.
+    RankDeficient
+        If W has linearly dependent rows.
     UnsupportedFamily
         Real sources under a complex mixing matrix, sources of both fields,
         or a complex W for real sources under a real mixing matrix.
@@ -521,7 +531,7 @@ def oracle_decompose(
     if max(abs(h - h_common) for h in hs) > 1e-9:
         raise ValueError("sources must share a common entropy; normalize them first")
 
-    Warr = _demixer_array(W, field)
+    Warr = _demixer_array(W, field, M.shape[0])
     m = Warr.shape[0]
     X = dist.sample_sources(sources, n_samples, seed)
     Y = X @ M.T

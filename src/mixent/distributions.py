@@ -49,8 +49,19 @@ __all__ = [
     "transport_log_derivative_expectation",
 ]
 
-_REAL_FAMILIES = ("gaussian", "uniform", "laplace", "exponential", "gaussian_mixture_2")
-_COMPLEX_FAMILIES = ("complex_circular_gaussian", "complex_uniform_disk")
+# family: (field, required parameters, optional parameters).
+_FAMILIES = {
+    "gaussian": ("real", ("sigma",), ("mu",)),
+    "uniform": ("real", ("low", "high"), ()),
+    "laplace": ("real", ("scale",), ("mu",)),
+    "exponential": ("real", ("rate",), ()),
+    "gaussian_mixture_2": ("real", ("weights", "mus", "sigmas"), ()),
+    "complex_circular_gaussian": ("complex", ("sigma",), ()),
+    "complex_uniform_disk": ("complex", ("radius",), ()),
+}
+# The matrix EPI is tight exactly when every unrecoverable component is Gaussian.
+_GAUSSIAN_FAMILIES = {"gaussian", "complex_circular_gaussian"}
+_LIST_PARAMS = ("weights", "mus", "sigmas")  # one number per mixture component
 
 
 @dataclass(frozen=True)
@@ -60,9 +71,7 @@ class SourceModel:
     Parameters
     ----------
     family:
-        One of ``gaussian``, ``uniform``, ``laplace``, ``exponential``,
-        ``gaussian_mixture_2``, ``complex_circular_gaussian``,
-        ``complex_uniform_disk``.
+        A key of the ``_FAMILIES`` table, which gives its field and parameters.
     params:
         Family-specific parameters; see the factory helpers below.
     field:
@@ -75,29 +84,14 @@ class SourceModel:
     field: str | None = None
 
     def __post_init__(self):
-        if self.family in _REAL_FAMILIES:
-            expected = "real"
-        elif self.family in _COMPLEX_FAMILIES:
-            expected = "complex"
-        else:
+        if self.family not in _FAMILIES:
             raise UnsupportedFamily(f"unknown family {self.family!r}")
+        expected = _FAMILIES[self.family][0]
         if self.field is None:
             object.__setattr__(self, "field", expected)
         elif self.field != expected:
             raise UnsupportedFamily(f"family {self.family!r} is a {expected}-field family")
         _validate_params(self.family, self.params)
-
-
-# Required parameters per family; gaussian and laplace also take an optional "mu".
-_PARAMS = {
-    "gaussian": ("sigma",),
-    "uniform": ("low", "high"),
-    "laplace": ("scale",),
-    "exponential": ("rate",),
-    "gaussian_mixture_2": ("weights", "mus", "sigmas"),
-    "complex_circular_gaussian": ("sigma",),
-    "complex_uniform_disk": ("radius",),
-}
 
 
 def _number(family: str, key: str, v) -> float:
@@ -115,16 +109,16 @@ def _number(family: str, key: str, v) -> float:
 
 def _validate_params(family: str, params: dict) -> None:
     """Raise ValueError, naming the family and the key, unless every
-    parameter is present, finite and in range.  The params stay as given."""
-    keys = _PARAMS[family]
-    if family in ("gaussian", "laplace") and "mu" in params:
-        keys += ("mu",)
-    p = {}
-    for key in keys:
+    parameter is known, present, finite and in range.  The params stay as given."""
+    _, required, optional = _FAMILIES[family]
+    for key in [*params, *required]:
+        if key not in required + optional:
+            raise ValueError(f"{family} has no parameter {key!r}")
         if key not in params:
             raise ValueError(f"{family} requires parameter {key!r}")
-        v = params[key]
-        if key in ("weights", "mus", "sigmas"):
+    p = {}
+    for key, v in params.items():
+        if key in _LIST_PARAMS:
             v = v.tolist() if isinstance(v, np.ndarray) else v
             if not isinstance(v, (list, tuple)) or len(v) != 2:
                 raise ValueError(
@@ -210,7 +204,7 @@ def exact_entropy(model: SourceModel) -> float:
     adaptive quadrature to absolute accuracy better than 1e-10.
     """
     p = model.params
-    if model.family in ("gaussian", "complex_circular_gaussian"):
+    if model.family in _GAUSSIAN_FAMILIES:
         # Variance sigma^2 spread over d real dimensions.
         d = real_dims(model.field)
         return d / 2 * math.log(2 * math.pi * math.e * p["sigma"] ** 2 / d)
@@ -261,7 +255,7 @@ def _mixture_entropy(p: dict) -> float:
 def variance(model: SourceModel) -> float:
     """Central second moment; for complex models, E|X - EX|^2."""
     p = model.params
-    if model.family == "gaussian":
+    if model.family in _GAUSSIAN_FAMILIES:
         return p["sigma"] ** 2
     if model.family == "uniform":
         return (p["high"] - p["low"]) ** 2 / 12.0
@@ -275,8 +269,6 @@ def variance(model: SourceModel) -> float:
         sigmas = np.asarray(p["sigmas"])
         m1 = float(w @ mus)
         return float(w @ (sigmas**2 + mus**2) - m1**2)
-    if model.family == "complex_circular_gaussian":
-        return p["sigma"] ** 2
     if model.family == "complex_uniform_disk":
         return p["radius"] ** 2 / 2.0
     raise UnsupportedFamily(model.family)
@@ -359,28 +351,20 @@ def check_sources(sources, field: str, cols: int) -> None:
 def scale_model(model: SourceModel, c: float) -> SourceModel:
     """The model of c X for a positive real factor c.
 
-    Real entropies shift by log c; complex entropies shift by 2 log c.
+    Each parameter is multiplied by c, but ``rate`` is divided by c and the
+    mixture ``weights`` stay.  Real entropies shift by log c, complex by 2 log c.
     """
     if not (c > 0 and math.isfinite(c)):
         raise ValueError("scale factor must be positive and finite")
-    p = dict(model.params)
-    if model.family == "gaussian":
-        return gaussian(sigma=c * p["sigma"], mu=c * p.get("mu", 0.0))
-    if model.family == "uniform":
-        return uniform(c * p["low"], c * p["high"])
-    if model.family == "laplace":
-        return laplace(scale=c * p["scale"], mu=c * p.get("mu", 0.0))
-    if model.family == "exponential":
-        return exponential(rate=p["rate"] / c)
-    if model.family == "gaussian_mixture_2":
-        return gaussian_mixture(
-            p["weights"], [c * m for m in p["mus"]], [c * s for s in p["sigmas"]]
-        )
-    if model.family == "complex_circular_gaussian":
-        return circular_gaussian(sigma=c * p["sigma"])
-    if model.family == "complex_uniform_disk":
-        return uniform_disk(radius=c * p["radius"])
-    raise UnsupportedFamily(model.family)
+
+    def scaled(key, x):
+        return float(x / c if key == "rate" else x if key == "weights" else c * x)
+
+    params = {
+        key: [scaled(key, x) for x in v] if key in _LIST_PARAMS else scaled(key, v)
+        for key, v in model.params.items()
+    }
+    return SourceModel(model.family, params)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .complex_embedding import embed_samples, field_of, real_dims
 from .errors import DegenerateData, DuplicatePoints, RankDeficient, TooFewSamples
-from .matrix_analysis import as_array
+from .matrix_analysis import as_array, rank_of
 from .rng import generator, normal_open
 
 __all__ = [
@@ -358,8 +358,7 @@ def gaussian_mix_entropy(A, sigmas) -> float:
     if not np.all(sig > 0):
         raise ValueError("sigmas must be strictly positive")
     m = arr.shape[0]
-    sv = np.linalg.svd(arr * sig, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0 or sv[-1] <= max(arr.shape) * np.finfo(np.float64).eps * sv[0]:
+    if rank_of(arr * sig) < m:
         raise RankDeficient("A diag(sigma) is rank deficient; the mixture entropy is -inf")
-    log_det_half = float(np.log(sv).sum())
+    log_det_half = float(np.log(np.linalg.svd(arr * sig, compute_uv=False)).sum())
     return 0.5 * d * m * math.log(2 * math.pi * math.e / d) + d * log_det_half

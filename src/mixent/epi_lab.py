@@ -55,8 +55,6 @@ __all__ = [
     "expectation_inequality_check",
 ]
 
-_GAUSSIAN_FAMILIES = {"gaussian", "complex_circular_gaussian"}
-
 # Lemma-sweep instances: shapes (m, n) with 2 <= m < n <= 6, and the
 # interval of their positive scales.
 _LEMMA_SHAPES = tuple((m, n) for n in range(3, 7) for m in range(2, n))
@@ -257,7 +255,7 @@ def run_equality_suite(configs, margins=None) -> EqualitySuiteReport:
         report = run_epi_trial(config)
         cls = report.classification
         tail = () if report.trivial else set(cls.present) - set(cls.recoverable)
-        gaussian_tail = all(config.sources[j].family in _GAUSSIAN_FAMILIES for j in tail)
+        gaussian_tail = all(config.sources[j].family in dist._GAUSSIAN_FAMILIES for j in tail)
         expected = "equality" if gaussian_tail else "strict"
         provenance = None
         if report.trivial:

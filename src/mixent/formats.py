@@ -75,15 +75,17 @@ def _denum(v) -> float:
     if isinstance(v, str):
         if v not in ("-inf", "inf", "nan"):
             raise ValueError(f"not a number: {v!r}")
-    elif not isinstance(v, (int, float, np.integer, np.floating)):
+    elif isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
         raise ValueError(f"not a number: {v!r}")
     return float(v)
 
 
 def _int(v, what: str) -> int:
-    if isinstance(v, (int, float, str, np.integer, np.floating)):
+    # A bool is not an integer, and a float must be integral: 2000.0 reads as 2000.
+    if not isinstance(v, bool) and isinstance(v, (int, float, str, np.integer, np.floating)):
         try:
-            return int(v)
+            if isinstance(v, str) or int(v) == v:
+                return int(v)
         except (ValueError, OverflowError):
             pass
     raise ValueError(f"{what} must be an integer, got {v!r}")

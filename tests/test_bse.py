@@ -325,7 +325,7 @@ def test_minimize_contrast_validation():
         minimize_contrast(small, 1)
 
 
-def test_spacing_window_checked_against_sample_size():
+def test_spacing_window_checked_against_sample_size(monkeypatch):
     _, obs = uniform_observation(2, 1000, 38)
     for m in (0, 501, 600):
         with pytest.raises(ValueError, match=rf"window m={m} out of range \[1, 500\]"):
@@ -333,6 +333,27 @@ def test_spacing_window_checked_against_sample_size():
         with pytest.raises(ValueError, match=rf"window m={m} out of range \[1, 500\]"):
             contrast(np.eye(2), obs, EstimatorSettings(spacing_m=m))
     assert np.isfinite(contrast(np.eye(2), obs, EstimatorSettings(spacing_m=500)))
+    # On 20k points an explicit window is checked against N, and the restarts
+    # search every stride-th point with the stride lowered to keep 2m points.
+    import mixent.bse as bse
+
+    _, big = uniform_observation(2, 20000, 38)
+    with pytest.raises(ValueError, match=r"window m=10001 out of range \[1, 10000\]"):
+        minimize_contrast(big, 1, restarts=1, settings=EstimatorSettings(spacing_m=10001))
+    rows, optimize = [], bse._optimize_frame
+
+    def recorded_optimize(samples, *args):
+        rows.append(samples.shape[0])
+        return optimize(samples, *args)
+
+    monkeypatch.setattr(bse, "_optimize_frame", recorded_optimize)
+    for m, searched in ((3000, [6667, 20000]), (10000, [20000])):
+        rows.clear()
+        res = minimize_contrast(
+            big, 1, restarts=1, settings=EstimatorSettings(spacing_m=m), max_sweeps=1
+        )
+        assert rows == searched
+        assert np.isfinite(res.contrast_value)
 
 
 def _extraction_digest(result):
@@ -583,6 +604,15 @@ def test_oracle_decompose_rejects_unequal_entropies():
         oracle_decompose(
             AVG_ROW, np.eye(2), [uniform(0.0, 1.0), gaussian(1.0)], n_samples=2000, seed=0
         )
+
+
+@pytest.mark.parametrize("W, error, message", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ValueError, "one column per observed channel"),
+    ([[1.0, 1.0], [2.0, 2.0]], RankDeficient, "linearly dependent rows"),
+], ids=["three_columns", "rank_deficient"])
+def test_oracle_decompose_checks_the_demixer(W, error, message):
+    with pytest.raises(error, match=message):
+        oracle_decompose(W, np.eye(2), [unit_variance_uniform()] * 2, n_samples=2000, seed=0)
 
 
 def test_oracle_decompose_source_field_against_matrix():

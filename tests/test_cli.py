@@ -342,7 +342,9 @@ def test_generate_params_not_an_object_exit_four(tmp_path, capsys):
      "gaussian parameter 'sigma' must be a number, got '2'"),
     ('{"family": "laplace", "params": {"scale": 1, "mu": 1e400}}',
      "laplace parameter 'mu' must be finite, got inf"),
-], ids=["missing", "list", "mixture-scalar", "string", "overflow"])
+    ('{"family": "gaussian", "params": {"sigma": 1, "mean": 5}}',
+     "gaussian has no parameter 'mean'"),
+], ids=["missing", "list", "mixture-scalar", "string", "overflow", "unknown"])
 def test_generate_bad_params_exit_four(tmp_path, capsys, source, message):
     (tmp_path / "s.json").write_text(f"[{source}]")
     assert main(["generate", "--sources", str(tmp_path / "s.json"), "--n", "5"]) == 4
@@ -357,6 +359,14 @@ def test_verify_epi_list_n_samples_exit_four(tmp_path, capsys):
     fmt.write_json(tmp_path / "c.json", cfg)
     assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
     assert "config 'n_samples' must be an integer, got [2000]" in capsys.readouterr().err
+
+
+def test_verify_epi_fractional_n_samples_exit_four(tmp_path, capsys):
+    cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))
+    cfg["n_samples"] = 2000.9
+    fmt.write_json(tmp_path / "c.json", cfg)
+    assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
+    assert "config 'n_samples' must be an integer, got 2000.9" in capsys.readouterr().err
 
 
 def test_verify_epi_string_knn_k_exit_four(tmp_path, capsys):
@@ -375,8 +385,11 @@ def test_verify_epi_string_knn_k_exit_four(tmp_path, capsys):
         ("knn_k", 0, "estimator 'knn_k' must be at least 1, got 0"),
         ("knn_k", None, "estimator 'knn_k' must be an integer, got None"),
         ("jitter_seed", None, "estimator 'jitter_seed' must be an integer, got None"),
+        ("knn_k", 4.5, "estimator 'knn_k' must be an integer, got 4.5"),
+        ("jitter_seed", True, "estimator 'jitter_seed' must be an integer, got True"),
     ],
-    ids=["negative_multiplier", "nan_multiplier", "zero_k", "null_k", "null_jitter_seed"],
+    ids=["negative_multiplier", "nan_multiplier", "zero_k", "null_k", "null_jitter_seed",
+         "fractional_k", "bool_jitter_seed"],
 )
 def test_verify_epi_bad_estimator_value_exit_four(tmp_path, capsys, key, value, message):
     cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))

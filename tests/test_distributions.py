@@ -24,6 +24,8 @@ from mixent import (
     uniform_disk,
     unit_variance_uniform,
 )
+from mixent import distributions as dist
+from mixent.complex_embedding import dtype_of, real_dims
 from mixent.distributions import variance
 
 H_NORMAL = 0.5 * np.log(2 * np.pi * np.e)
@@ -125,6 +127,57 @@ def test_scale_model_shifts_entropy():
         )
     with pytest.raises(ValueError):
         scale_model(gaussian(1.0), 0.0)
+
+
+# One model per family and the bits of its parameters scaled by 0.37,
+# recorded from the per-family scaling code that the one rule replaced.
+SCALED_BITS = {
+    "gaussian": (
+        gaussian(1.3, 0.2), {"sigma": "0x1.ec8b439581062p-2", "mu": "0x1.2f1a9fbe76c8bp-4"}
+    ),
+    "uniform": (
+        uniform(-0.7, 1.9), {"low": "-0x1.09374bc6a7efap-2", "high": "0x1.67ef9db22d0e5p-1"}
+    ),
+    "laplace": (
+        laplace(0.8, -0.4), {"scale": "0x1.2f1a9fbe76c8bp-2", "mu": "-0x1.2f1a9fbe76c8bp-3"}
+    ),
+    "exponential": (exponential(1.7), {"rate": "0x1.260dd67c8a60ep+2"}),
+    "gaussian_mixture_2": (
+        gaussian_mixture([0.3, 0.7], [-1.1, 0.6], [0.5, 1.2]),
+        {
+            "weights": ["0x1.3333333333333p-2", "0x1.6666666666666p-1"],
+            "mus": ["-0x1.a0c49ba5e3540p-2", "0x1.c6a7ef9db22d1p-3"],
+            "sigmas": ["0x1.7ae147ae147aep-3", "0x1.c6a7ef9db22d1p-2"],
+        },
+    ),
+    "complex_circular_gaussian": (circular_gaussian(1.3), {"sigma": "0x1.ec8b439581062p-2"}),
+    "complex_uniform_disk": (uniform_disk(0.9), {"radius": "0x1.54fdf3b645a1dp-2"}),
+}
+
+
+@pytest.mark.parametrize("family", list(dist._FAMILIES))
+def test_family_table_row(family):
+    model, bits = SCALED_BITS[family]
+    field = dist._FAMILIES[family][0]
+    assert model.family == family and model.field == field
+    assert sample(model, 5, 1).dtype == dtype_of(field)
+    scaled = scale_model(model, 0.37)
+    assert list(scaled.params) == list(model.params)
+    assert exact_entropy(scaled) == pytest.approx(
+        exact_entropy(model) + real_dims(field) * np.log(0.37), abs=1e-9
+    )
+    hexed = {
+        k: [x.hex() for x in v] if isinstance(v, list) else v.hex()
+        for k, v in scaled.params.items()
+    }
+    assert hexed == bits
+
+
+def test_scale_model_keeps_the_keys_it_had():
+    from mixent import SourceModel
+
+    scaled = scale_model(SourceModel("gaussian", {"sigma": 2.0}), 0.5)
+    assert scaled.params == {"sigma": 1.0}
 
 
 def test_scale_model_scales_samples():

@@ -368,6 +368,12 @@ def test_gaussian_mix_entropy_complex():
     )
 
 
+def test_gaussian_mix_entropy_tall_matrix_rank_deficient():
+    # Two outputs of one Gaussian: A S A^T is singular and the entropy is -inf.
+    with pytest.raises(RankDeficient):
+        gaussian_mix_entropy(np.array([[1.0], [2.0]]), [1.0])
+
+
 def test_gaussian_mix_entropy_errors():
     with pytest.raises(RankDeficient):
         gaussian_mix_entropy(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 1.0])

@@ -113,6 +113,7 @@ def test_matrix_from_dict_validation():
     ([[1.0, None]], r"^matrix data row 1, entry 2: not a number: None$"),
     ([[1.0, 0.0], [[0.5], 1.0]], r"^matrix data row 2, entry 1: not a number: \[0.5\]$"),
     ({"0": [1.0]}, r"^matrix data must be a list of rows, got \{'0': \[1.0\]\}$"),
+    ([[1.0, True]], r"^matrix data row 1, entry 2: not a number: True$"),
 ])
 def test_matrix_from_dict_names_bad_entry(data, message):
     d = {"rows": len(data), "cols": 2, "field": "real", "data": data}
