@@ -173,6 +173,15 @@ def _demixer_array(W, field: str, channels: int) -> np.ndarray:
     return arr
 
 
+def _log_volume(W: np.ndarray, samples: np.ndarray, field: str) -> float:
+    """(d / 2) log det(W K W^H) for the sample covariance K of ``samples``;
+    SingularCovariance unless W K W^H is numerically positive definite."""
+    sign, logdet = np.linalg.slogdet(W @ sample_covariance(samples) @ W.conj().T)
+    if not (np.real(sign) > 0.5):
+        raise SingularCovariance("demixed covariance is numerically singular")
+    return real_dims(field) / 2 * logdet
+
+
 def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> float:
     """Extraction contrast: marginal entropy estimates minus log volume.
 
@@ -184,6 +193,8 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
     ------
     RankDeficient
         If W has linearly dependent rows.
+    SingularCovariance
+        If the demixed covariance W K W^H is numerically singular.
     UnsupportedFamily
         A complex W for real data.
     ValueError
@@ -191,17 +202,13 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
     """
     settings = settings or EstimatorSettings()
     arr = _demixer_array(W, obs.field, obs.samples.shape[1])
-    K = sample_covariance(obs.samples)
-    G = arr @ K @ arr.conj().T
-    sign, logdet = np.linalg.slogdet(G)
-    if not (np.real(sign) > 0.5):
-        raise SingularCovariance("demixed covariance is numerically singular")
+    log_volume = _log_volume(arr, obs.samples, obs.field)
     Z = obs.samples @ arr.T
     hsum = sum(
         _marginal_entropy_value(Z[:, i], obs.field, settings)
         for i in range(arr.shape[0])
     )
-    return float(hsum - real_dims(obs.field) / 2 * logdet)
+    return float(hsum - log_volume)
 
 
 def _line_search(f, f0: float, lo: float, hi: float):
@@ -514,6 +521,8 @@ def oracle_decompose(
         column per mixing row.
     RankDeficient
         If W has linearly dependent rows.
+    SingularCovariance
+        If the demixed sample covariance is numerically singular.
     UnsupportedFamily
         Real sources under a complex mixing matrix, sources of both fields,
         or a complex W for real sources under a real mixing matrix.
@@ -537,19 +546,17 @@ def oracle_decompose(
     Y = X @ M.T
     Z = Y @ Warr.T
     A = Warr @ M
+    log_volume = _log_volume(Warr, Y, field)
 
     estimates = [estimate_entropy(Z[:, [i]], field, settings) for i in range(m)]
     hsum = sum(e.value for e in estimates)
     d = real_dims(field)
 
-    def log_volume(samples):
-        return d / 2 * np.linalg.slogdet(Warr @ sample_covariance(samples) @ Warr.conj().T)[1]
-
     # The identity below is exact except for the sample-covariance log-det,
     # so its block-subsampling error belongs in the combined std_error.
-    logdet_se = _block_std_error(log_volume, Y, min_block=Y.shape[1] + 1)
+    logdet_se = _block_std_error(lambda blk: _log_volume(Warr, blk, field), Y, min_block=Y.shape[1] + 1)
     std_error = math.sqrt(sum(e.std_error**2 for e in estimates) + logdet_se**2)
-    contrast_value = hsum - log_volume(Y)
+    contrast_value = hsum - log_volume
 
     log_norms = np.log(np.linalg.norm(A, axis=1))
     marginal_term = hsum - m * h_common - d * float(log_norms.sum())

@@ -60,6 +60,15 @@ def dtype_of(field: str):
     return np.complex128 if real_dims(field) == 2 else np.float64
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array; ValueError naming ``name`` for complex
+    input, whose imaginary part the cast would drop."""
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.asarray(arr, dtype=np.float64)
+
+
 def hat_embed(A) -> np.ndarray:
     """Embed a complex matrix or vector into real coordinates.
 
@@ -97,7 +106,7 @@ def unhat(Ahat) -> np.ndarray:
         breaks the pattern by more than 1e-10; the message names the first
         offending block in row-major order.
     """
-    arr = np.asarray(Ahat, dtype=np.float64)
+    arr = _real_array(Ahat, "Ahat")
     if arr.ndim == 1:
         if arr.size % 2:
             raise BadBlockStructure("vector length must be even")
@@ -174,7 +183,7 @@ def block_polar(block) -> BlockPolar:
         If the block is not symmetric within 1e-10 or not positive
         definite.
     """
-    arr = np.asarray(block, dtype=np.float64)
+    arr = _real_array(block, "block")
     if arr.shape != (2, 2):
         raise NotSpd("block must be 2x2")
     if abs(arr[0, 1] - arr[1, 0]) > _BLOCK_TOL:

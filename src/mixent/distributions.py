@@ -92,6 +92,9 @@ class SourceModel:
         elif self.field != expected:
             raise UnsupportedFamily(f"family {self.family!r} is a {expected}-field family")
         _validate_params(self.family, self.params)
+        # A copy, so later changes to the caller's dict or lists skip no validation.
+        params = {k: v.copy() if isinstance(v, (list, np.ndarray)) else v for k, v in self.params.items()}
+        object.__setattr__(self, "params", params)
 
 
 def _number(family: str, key: str, v) -> float:

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_embedding import embed_samples, field_of, real_dims
+from .complex_embedding import _real_array, embed_samples, field_of, real_dims
 from .errors import DegenerateData, DuplicatePoints, RankDeficient, TooFewSamples
 from .matrix_analysis import as_array, rank_of
-from .rng import generator, normal_open
+from .rng import generator
 
 __all__ = [
     "EstimatorSettings",
@@ -59,7 +59,6 @@ class EstimatorSettings:
     knn_k: int = 4
     spacing_m: int | None = None
     tolerance_multiplier: float = 3.0
-    jitter_seed: int = 0
 
     def __post_init__(self):
         tol = float(self.tolerance_multiplier)
@@ -222,7 +221,7 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     DegenerateData
         All samples equal, or some not finite.
     """
-    x = np.asarray(samples, dtype=np.float64)
+    x = _real_array(samples, "samples")
     if x.ndim != 1:
         raise ValueError("spacing estimator requires a 1-D real sample")
     n = x.size
@@ -248,31 +247,18 @@ def _knn_value(pts: np.ndarray, k: int) -> float:
     dist, _ = tree.query(pts, k=k + 1, workers=-1)
     eps = dist[:, k]
     if np.any(eps == 0.0):
-        raise DuplicatePoints("zero k-th neighbor distance; enable jitter to break ties")
+        raise DuplicatePoints(f"zero {k}-th neighbor distance: {k + 1} or more equal sample points")
     log_vd = 0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0)
     return float(digamma(n) - digamma(k) + log_vd + d * np.mean(np.log(eps)))
 
 
-def _has_duplicate_rows(arr: np.ndarray) -> bool:
-    """Whether two rows of the finite 2-D ``arr`` are equal (``-0.0 == 0.0``).
-
-    Equal rows tie in column 0, so one sort of that column settles the
-    common case; only a tie there pays for the full row sort.
-    """
-    c0 = np.sort(arr[:, 0])
-    if not (c0[1:] == c0[:-1]).any():
-        return False
-    rows = arr[np.lexsort(arr.T[::-1])]
-    return bool((rows[1:] == rows[:-1]).all(axis=1).any())
-
-
-def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> EntropyEstimate:
+def knn_entropy(samples, k: int = 4) -> EntropyEstimate:
     """Estimate joint entropy by k-nearest-neighbor distances.
 
     Complex input of shape (N, d) is embedded as real data of shape
-    (N, 2d) with interleaved real and imaginary parts.  Exact duplicate
-    points are broken by a deterministic jitter of relative magnitude 1e-10
-    derived from ``seed``; with ``jitter=False`` duplicates raise instead.
+    (N, 2d) with interleaved real and imaginary parts.  A point with k or
+    more exact duplicates has a zero k-th neighbor distance, which makes the
+    estimate minus infinity, so it raises; fewer are estimated as they are.
 
     Parameters
     ----------
@@ -299,15 +285,6 @@ def knn_entropy(samples, k: int = 4, jitter: bool = True, seed: int = 0) -> Entr
     if k < 1:
         raise ValueError("k must be at least 1")
     _require_finite(arr)
-
-    if _has_duplicate_rows(arr):
-        if not jitter:
-            raise DuplicatePoints("duplicate sample points with jitter disabled")
-        scale = arr.std(axis=0)
-        fallback = max(1.0, float(np.abs(arr).max()))
-        scale = np.where(scale > 0, scale, fallback)
-        arr = arr + 1e-10 * scale * normal_open(generator(seed, 0xD1CE), arr.shape)
-
     value = _knn_value(arr, k)
     se = _block_std_error(lambda blk: _knn_value(blk, k), arr, min_block=max(10, k + 2))
     return EntropyEstimate(value=value, method="knn", n_samples=n, params={"k": int(k)}, std_error=se)
@@ -324,7 +301,7 @@ def estimate_entropy(Y: np.ndarray, field: str, settings: EstimatorSettings) -> 
     real embedding)."""
     if spacings_apply(field, Y.shape[1]):
         return spacing_entropy(Y[:, 0], m=settings.spacing_m)
-    return knn_entropy(Y, k=settings.knn_k, seed=settings.jitter_seed)
+    return knn_entropy(Y, k=settings.knn_k)
 
 
 def surrogate_sigma(entropy_nats: float, field: str = "real") -> GaussianSurrogate:
@@ -352,7 +329,7 @@ def gaussian_mix_entropy(A, sigmas) -> float:
     """
     arr = as_array(A)
     d = real_dims(field_of(arr))
-    sig = np.asarray(sigmas, dtype=np.float64)
+    sig = _real_array(sigmas, "sigmas")
     if sig.ndim != 1 or sig.size != arr.shape[1]:
         raise ValueError("sigmas must have one entry per column of A")
     if not np.all(sig > 0):

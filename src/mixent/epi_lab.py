@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from . import distributions as dist
-from .complex_embedding import hat_embed
+from .complex_embedding import _real_array, hat_embed
 from .entropy import (
     EntropyEstimate,
     EstimatorSettings,
@@ -380,7 +380,7 @@ def expectation_inequality_check(Q, targets, n_samples: int, seed: int) -> float
     ValueError
         If some target entropy does not match the standard normal.
     """
-    arr = np.asarray(Q, dtype=np.float64)
+    arr = _real_array(Q, "Q")
     if arr.ndim != 2:
         raise ValueError("Q must be a matrix")
     _check_orthonormal_rows(arr)

@@ -71,7 +71,7 @@ class DegenerateData(MixentError):
 
 
 class DuplicatePoints(MixentError):
-    """Duplicate sample points with tie-breaking disabled."""
+    """A point with k or more exact duplicates, whose kNN entropy estimate is -inf."""
     exit_code = 21
 
 

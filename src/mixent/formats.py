@@ -81,20 +81,35 @@ def _denum(v) -> float:
 
 
 def _int(v, what: str) -> int:
-    # A bool is not an integer, and a float must be integral: 2000.0 reads as 2000.
-    if not isinstance(v, bool) and isinstance(v, (int, float, str, np.integer, np.floating)):
-        try:
-            if isinstance(v, str) or int(v) == v:
-                return int(v)
-        except (ValueError, OverflowError):
-            pass
+    # A bool or a str is not an integer, and a float must be integral: 2000.0 reads as 2000.
+    if (isinstance(v, (int, np.integer)) and not isinstance(v, bool)) or (
+        isinstance(v, (float, np.floating)) and v.is_integer()
+    ):
+        return int(v)
     raise ValueError(f"{what} must be an integer, got {v!r}")
+
+
+def _bool(v, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"{what} must be true or false, got {v!r}")
+    return v
 
 
 def _object(d, what: str) -> dict:
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
     return d
+
+
+def _keys(d: dict, required: tuple, optional: tuple, what: str) -> None:
+    """ValueError naming the keys if ``d`` has a key outside ``required +
+    optional`` or lacks a required one."""
+    unknown = set(d) - set(required + optional)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
 
 
 def _plain(obj):
@@ -175,10 +190,7 @@ def matrix_to_dict(matrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> MixingMatrix:
-    _object(d, "matrix")
-    for key in ("rows", "cols", "field", "data"):
-        if key not in d:
-            raise ValueError(f"matrix object is missing {key!r}")
+    _keys(_object(d, "matrix"), ("rows", "cols", "field", "data"), (), "matrix")
     field = d["field"]
     arr = _data_to_array(d["data"], field)
     if arr.shape != (_int(d["rows"], "matrix 'rows'"), _int(d["cols"], "matrix 'cols'")):
@@ -193,9 +205,7 @@ def model_to_dict(model: dist.SourceModel) -> dict:
 
 
 def model_from_dict(d: dict) -> dist.SourceModel:
-    _object(d, "a source")
-    if "family" not in d or "params" not in d:
-        raise ValueError("source object needs 'family' and 'params'")
+    _keys(_object(d, "a source"), ("family", "params"), ("field",), "source")
     return dist.SourceModel(
         family=d["family"],
         params=dict(_object(d["params"], "'params'")),
@@ -206,8 +216,7 @@ def model_from_dict(d: dict) -> dist.SourceModel:
 def sources_from_obj(obj) -> tuple[dist.SourceModel, ...]:
     """Accept either a bare list of source objects or {"sources": [...]}."""
     if isinstance(obj, dict):
-        if "sources" not in obj:
-            raise ValueError("sources object needs a 'sources' list")
+        _keys(obj, ("sources",), (), "sources")
         obj = obj["sources"]
     if not isinstance(obj, list) or not obj:
         raise ValueError("sources must be a non-empty list")
@@ -301,7 +310,7 @@ def estimate_from_dict(d: dict) -> EntropyEstimate:
     return EntropyEstimate(
         value=_denum(d["value"]),
         method=d["method"],
-        n_samples=int(d["n_samples"]),
+        n_samples=_int(d["n_samples"], "estimate 'n_samples'"),
         params=dict(d["params"]),
         std_error=_denum(d["std_error"]),
     )
@@ -334,8 +343,8 @@ def classification_from_dict(d: dict) -> ComponentClassification:
         rows = _int(d.get("rows", 0), "classification 'rows'")
         witnesses = np.zeros((0, rows), dtype=dtype_of(field))
     return ComponentClassification(
-        present=tuple(int(j) - 1 for j in d["present"]),
-        recoverable=tuple(int(j) - 1 for j in d["recoverable"]),
+        present=tuple(_int(j, "classification 'present'") - 1 for j in d["present"]),
+        recoverable=tuple(_int(j, "classification 'recoverable'") - 1 for j in d["recoverable"]),
         witnesses=witnesses,
         tolerance=_denum(d["tolerance"]),
     )
@@ -351,8 +360,8 @@ def canonical_to_dict(dec: CanonicalDecomposition) -> dict:
 def canonical_from_dict(d: dict) -> CanonicalDecomposition:
     field = d["field"]
     B = _data_to_array(d["B"], field)
-    permutation = tuple(int(j) - 1 for j in d["permutation"])
-    r = int(d["r"])
+    permutation = tuple(_int(j, "canonical 'permutation'") - 1 for j in d["permutation"])
+    r = _int(d["r"], "canonical 'r'")
     if d["tail"]:
         tail = _data_to_array(d["tail"], field)
     else:
@@ -366,13 +375,10 @@ def settings_to_dict(s: EstimatorSettings) -> dict:
 
 
 def settings_from_dict(d: dict) -> EstimatorSettings:
-    known = {"knn_k", "spacing_m", "tolerance_multiplier", "jitter_seed"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown estimator keys: {sorted(unknown)}")
+    _keys(d, (), ("knn_k", "spacing_m", "tolerance_multiplier"), "estimator")
     kwargs = dict(d)
     # Only the window may be null: it then defaults to the sample size's.
-    for key in ("knn_k", "spacing_m", "jitter_seed"):
+    for key in ("knn_k", "spacing_m"):
         if key in kwargs and (key != "spacing_m" or kwargs[key] is not None):
             kwargs[key] = _int(kwargs[key], f"estimator {key!r}")
     if "tolerance_multiplier" in kwargs:
@@ -394,11 +400,8 @@ def config_to_dict(config: EpiExperimentConfig) -> dict:
 def config_from_dict(d: dict, base_dir=None) -> EpiExperimentConfig:
     """Build an experiment config; ``matrix_path`` is resolved against
     ``base_dir`` (usually the config file's directory)."""
-    _object(d, "config")
-    known = {"matrix", "matrix_path", "sources", "n_samples", "seed", "trials", "estimator"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    required = ("sources", "n_samples", "seed")
+    _keys(_object(d, "config"), required, ("matrix", "matrix_path", "trials", "estimator"), "config")
     if ("matrix" in d) == ("matrix_path" in d):
         raise ValueError("config needs exactly one of 'matrix' or 'matrix_path'")
     if "matrix" in d:
@@ -410,8 +413,6 @@ def config_from_dict(d: dict, base_dir=None) -> EpiExperimentConfig:
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         matrix = matrix_from_dict(read_json(path))
-    if "sources" not in d or "n_samples" not in d or "seed" not in d:
-        raise ValueError("config needs 'sources', 'n_samples', and 'seed'")
     return EpiExperimentConfig(
         matrix=matrix,
         sources=sources_from_obj(d["sources"]),
@@ -445,10 +446,10 @@ def epi_report_from_dict(d: dict) -> EpiReport:
             if d["classification"] is None
             else classification_from_dict(d["classification"])
         ),
-        trivial=bool(d["trivial"]),
-        n_samples=int(d["n_samples"]),
-        trials=int(d["trials"]),
-        seed=int(d["seed"]),
+        trivial=_bool(d["trivial"], "epi report 'trivial'"),
+        n_samples=_int(d["n_samples"], "epi report 'n_samples'"),
+        trials=_int(d["trials"], "epi report 'trials'"),
+        seed=_int(d["seed"], "epi report 'seed'"),
     )
 
 
@@ -473,14 +474,14 @@ def extraction_from_dict(d: dict) -> ExtractionResult:
     return ExtractionResult(
         demixer=matrix_from_dict(d["W"]).array,
         contrast_value=_denum(d["contrast"]),
-        converged=bool(d["converged"]),
-        sweeps=int(d["sweeps"]),
-        best_restart=int(d["best_restart"]),
+        converged=_bool(d["converged"], "extraction 'converged'"),
+        sweeps=_int(d["sweeps"], "extraction 'sweeps'"),
+        best_restart=_int(d["best_restart"], "extraction 'best_restart'"),
         restart_objectives=tuple(_denum(v) for v in d["restart_objectives"]),
         trace=tuple(tuple(_denum(v) for v in t) for t in d["trace"]),
         whitener=matrix_from_dict(d["whitener"]).array,
-        n_extracted=int(d["n_extracted"]),
-        seed=int(d["seeds"][0]),
+        n_extracted=_int(d["n_extracted"], "extraction 'n_extracted'"),
+        seed=_int(d["seeds"][0], "extraction 'seeds'"),
     )
 
 

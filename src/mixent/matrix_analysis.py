@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_embedding import block_polar, dtype_of, field_of, real_dims, unhat
+from .complex_embedding import _real_array, block_polar, dtype_of, field_of, real_dims, unhat
 from .errors import (
     AlreadySquare,
     BadBlockStructure,
@@ -369,7 +369,7 @@ def log_concavity_gap(Q, lam) -> float:
     """
     arr = as_array(Q)
     _check_orthonormal_rows(arr)
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = _real_array(lam, "lam")
     if lam.ndim != 1 or lam.size != arr.shape[1]:
         raise ValueError("lam must be a vector with one entry per column of Q")
     if not np.all(lam > 0):
@@ -404,7 +404,7 @@ def log_concavity_gap_blocks(Qhat, blocks) -> float:
     NotSpd
         If some block is not symmetric positive definite.
     """
-    arr = np.asarray(Qhat, dtype=np.float64)
+    arr = _real_array(Qhat, "Qhat")
     if arr.ndim != 2 or arr.shape[0] % 2 or arr.shape[1] % 2:
         raise BadBlockStructure("embedded matrix must have even dimensions")
     _check_orthonormal_rows(unhat(arr))

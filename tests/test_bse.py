@@ -615,6 +615,16 @@ def test_oracle_decompose_checks_the_demixer(W, error, message):
         oracle_decompose(W, np.eye(2), [unit_variance_uniform()] * 2, n_samples=2000, seed=0)
 
 
+def test_oracle_decompose_singular_mix_raises_as_contrast_does():
+    # Both columns of Y equal, so W K W^H is singular and the log volume is -inf.
+    mix, sources = [[1.0, 1.0], [1.0, 1.0]], [unit_variance_uniform()] * 2
+    with pytest.raises(SingularCovariance, match="demixed covariance is numerically singular"):
+        oracle_decompose(np.eye(2), mix, sources, n_samples=2000, seed=0)
+    Y = sample_sources(sources, 2000, 0) @ np.array(mix).T
+    with pytest.raises(SingularCovariance, match="demixed covariance is numerically singular"):
+        contrast(np.eye(2), Observation.from_samples(Y))
+
+
 def test_oracle_decompose_source_field_against_matrix():
     mix = [[1.0, 1.0j], [0.5, 1.0]]
     with pytest.raises(UnsupportedFamily, match="'gaussian' does not match the complex"):

@@ -240,6 +240,15 @@ def test_entropy_degenerate_data_exit_code(tmp_path, capsys):
     assert "DegenerateData" in capsys.readouterr().err
 
 
+def test_entropy_knn_grid_data_exit_code(tmp_path, capsys):
+    # Standard normals on a 0.1 grid repeat points, so the kNN estimate
+    # would be minus infinity.
+    pts = np.round(np.random.Generator(np.random.Philox(7)).standard_normal((20000, 2)), 1)
+    (tmp_path / "grid.csv").write_text(fmt.samples_csv_text(pts))
+    assert main(["entropy", "--input", str(tmp_path / "grid.csv"), "--method", "knn"]) == 21
+    assert "DuplicatePoints: zero 4-th neighbor distance" in capsys.readouterr().err
+
+
 def test_extract_recovers_mixed_sources(tmp_path, capsys):
     src = write_sources(tmp_path / "s.json", [unit_variance_uniform()] * 2)
     mix = write_matrix(tmp_path / "m.json", [[1.0, 0.4], [0.3, 1.0]])
@@ -319,6 +328,28 @@ def test_analyze_matrix_ragged_data_names_row(tmp_path, capsys):
     assert "matrix data row 2 has 1 entries, row 1 has 2" in capsys.readouterr().err
 
 
+def test_analyze_matrix_unknown_key_exit_four(tmp_path, capsys):
+    fmt.write_json(tmp_path / "m.json",
+                   {"rows": 1, "cols": 2, "colums": 2, "field": "real", "data": [[1, 2]]})
+    assert main(["analyze-matrix", "--input", str(tmp_path / "m.json")]) == 4
+    assert "unknown matrix keys: ['colums']" in capsys.readouterr().err
+
+
+def test_generate_unknown_source_key_exit_four(tmp_path, capsys):
+    fmt.write_json(tmp_path / "s.json",
+                   [{"family": "gaussian", "params": {"sigma": 1.0}, "feild": "complex"}])
+    assert main(["generate", "--sources", str(tmp_path / "s.json"), "--n", "5"]) == 4
+    assert "source 1: unknown source keys: ['feild']" in capsys.readouterr().err
+
+
+def test_verify_epi_string_n_samples_exit_four(tmp_path, capsys):
+    cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))
+    cfg["n_samples"] = "2000"
+    fmt.write_json(tmp_path / "c.json", cfg)
+    assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
+    assert "config 'n_samples' must be an integer, got '2000'" in capsys.readouterr().err
+
+
 def test_generate_source_not_an_object_exit_four(tmp_path, capsys):
     fmt.write_json(tmp_path / "s.json", [1])
     assert main(["generate", "--sources", str(tmp_path / "s.json"), "--n", "5"]) == 4
@@ -384,12 +415,12 @@ def test_verify_epi_string_knn_k_exit_four(tmp_path, capsys):
         ("tolerance_multiplier", "nan", "estimator 'tolerance_multiplier' must be finite and at least 0, got nan"),
         ("knn_k", 0, "estimator 'knn_k' must be at least 1, got 0"),
         ("knn_k", None, "estimator 'knn_k' must be an integer, got None"),
-        ("jitter_seed", None, "estimator 'jitter_seed' must be an integer, got None"),
+        ("jitter_seed", None, "unknown estimator keys: ['jitter_seed']"),
         ("knn_k", 4.5, "estimator 'knn_k' must be an integer, got 4.5"),
-        ("jitter_seed", True, "estimator 'jitter_seed' must be an integer, got True"),
+        ("spacing_m", True, "estimator 'spacing_m' must be an integer, got True"),
     ],
     ids=["negative_multiplier", "nan_multiplier", "zero_k", "null_k", "null_jitter_seed",
-         "fractional_k", "bool_jitter_seed"],
+         "fractional_k", "bool_spacing_m"],
 )
 def test_verify_epi_bad_estimator_value_exit_four(tmp_path, capsys, key, value, message):
     cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))

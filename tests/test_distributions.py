@@ -25,6 +25,7 @@ from mixent import (
     unit_variance_uniform,
 )
 from mixent import distributions as dist
+from mixent import formats as fmt
 from mixent.complex_embedding import dtype_of, real_dims
 from mixent.distributions import variance
 
@@ -78,6 +79,23 @@ def test_model_validation():
         from mixent import SourceModel
 
         SourceModel(family="complex_circular_gaussian", params={"sigma": 1.0}, field="real")
+
+
+def test_model_keeps_a_copy_of_its_params():
+    from mixent import SourceModel
+
+    p = {"sigma": 1.0}
+    m = SourceModel("gaussian", p)
+    p["sigma"] = -2.0
+    assert m.params == {"sigma": 1.0}
+    assert variance(m) == 1.0
+    weights = [0.3, 0.7]
+    q = {"weights": weights, "mus": [-1.0, 1.0], "sigmas": [0.5, 0.8]}
+    mix = SourceModel("gaussian_mixture_2", q)
+    weights[0] = -5.0
+    assert mix.params["weights"] == [0.3, 0.7]
+    # The values stay as given, so the model encodes as before.
+    assert fmt.model_to_dict(mix)["params"] == {"weights": [0.3, 0.7], "mus": [-1.0, 1.0], "sigmas": [0.5, 0.8]}
 
 
 def test_sampling_reproducible_and_stream_separated():

@@ -25,6 +25,7 @@ from mixent import (
 from mixent.entropy import (
     EstimatorSettings,
     SpacingWorkspace,
+    _knn_value,
     default_spacing_window,
     estimate_entropy,
     spacing_entropy_value,
@@ -236,21 +237,25 @@ def test_knn_complex_column_auto_embeds():
 def test_knn_scale_equivariance():
     gen = np.random.Generator(np.random.Philox(21))
     pts = gen.standard_normal((2000, 3))
-    base = knn_entropy(pts, jitter=False).value
-    got = knn_entropy(5.0 * pts, jitter=False).value
+    base = knn_entropy(pts).value
+    got = knn_entropy(5.0 * pts).value
     assert got == pytest.approx(base + 3 * np.log(5.0), abs=1e-9)
 
 
 def test_knn_duplicates():
+    # Fewer than k = 4 duplicates per point are estimated as they are, by the
+    # rule the extraction search scores rows with; k or more raise.
     pts = np.repeat(np.arange(30.0), 3).reshape(-1, 1)
+    assert knn_entropy(pts).value == _knn_value(pts, 4)
+    with pytest.raises(DuplicatePoints, match="zero 4-th neighbor distance: 5 or more equal"):
+        knn_entropy(np.repeat(np.arange(30.0), 5).reshape(-1, 1))
+
+
+def test_knn_rejects_grid_data():
+    # Standard normals on a 0.1 grid: the estimate would be minus infinity.
+    pts = np.round(np.random.Generator(np.random.Philox(7)).standard_normal((20000, 2)), 1)
     with pytest.raises(DuplicatePoints):
-        knn_entropy(pts, jitter=False)
-    est = knn_entropy(pts, jitter=True, seed=0)
-    assert np.isfinite(est.value)
-    again = knn_entropy(pts, jitter=True, seed=0)
-    assert est.value == again.value
-    other = knn_entropy(pts, jitter=True, seed=1)
-    assert est.value != other.value
+        knn_entropy(pts)
 
 
 def duplicate_case(name):
@@ -270,20 +275,11 @@ DUPLICATE_CASES = {"distinct": False, "signed_zero": True, "later_column": False
 
 @pytest.mark.parametrize("name", sorted(DUPLICATE_CASES))
 def test_knn_duplicate_check_matches_unique(name):
-    # The check sorts column 0 and compares whole rows only on a tie there;
-    # np.unique(axis=0) is the reference, and both take -0.0 == 0.0.
-    from mixent.entropy import _has_duplicate_rows
-
+    # np.unique(axis=0) is the reference for which inputs repeat a row, taking
+    # -0.0 == 0.0; with or without repeats the estimate is the search's value.
     pts = duplicate_case(name)
-    duplicate = DUPLICATE_CASES[name]
-    assert (np.unique(pts, axis=0).shape[0] < len(pts)) == duplicate
-    assert _has_duplicate_rows(pts) == duplicate
-    if duplicate:
-        with pytest.raises(DuplicatePoints):
-            knn_entropy(pts, jitter=False)
-        assert np.isfinite(knn_entropy(pts, jitter=True).value)
-    else:
-        assert knn_entropy(pts, jitter=True) == knn_entropy(pts, jitter=False)
+    assert (np.unique(pts, axis=0).shape[0] < len(pts)) == DUPLICATE_CASES[name]
+    assert knn_entropy(pts).value == _knn_value(pts, 4)
 
 
 def test_knn_rejects_non_finite():

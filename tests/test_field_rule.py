@@ -16,18 +16,24 @@ import pytest
 
 from mixent import (
     Observation,
+    block_polar,
     circular_gaussian,
     contrast,
+    expectation_inequality_check,
     exponential,
     gaussian,
     gaussian_mix_entropy,
     laplace,
+    log_concavity_gap,
+    log_concavity_gap_blocks,
     match_entropy,
     normalize_entropies,
     sample_sources,
+    spacing_entropy,
     surrogate_sigma,
     uniform,
     uniform_disk,
+    unhat,
 )
 from mixent.formats import samples_csv_text
 
@@ -116,3 +122,25 @@ def test_complex_samples_csv_text_golden_bytes():
     assert samples_csv_text(zs) == (
         "s1_re,s1_im,s2_re,s2_im\n1.5,-0.0,-2.25,1e-300\n0.1,0.2,-0.0,3.0\n"
     )
+
+
+
+# Each real-only entry point, the argument it names, and a call with a
+# complex value in that argument.
+REAL_ONLY = {
+    "spacing_entropy": ("samples", lambda z: spacing_entropy(np.full(50, z))),
+    "unhat": ("Ahat", lambda z: unhat(np.full((2, 2), z))),
+    "block_polar": ("block", lambda z: block_polar(np.diag([z, 1.0]))),
+    "log_concavity_gap_blocks": ("Qhat", lambda z: log_concavity_gap_blocks(np.full((2, 2), z), [np.eye(2)])),
+    "expectation_inequality_check": ("Q", lambda z: expectation_inequality_check([[z, 0.0]], [gaussian(1.0)] * 2, 10, 0)),
+    "log_concavity_gap": ("lam", lambda z: log_concavity_gap(np.eye(2), [z, 1.0])),
+    "gaussian_mix_entropy": ("sigmas", lambda z: gaussian_mix_entropy(np.eye(2), [z, 1.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ONLY))
+def test_real_only_entry_points_reject_complex_input(name):
+    # A cast to float64 would drop the imaginary part and go on with the real one.
+    arg, call = REAL_ONLY[name]
+    with pytest.raises(ValueError, match=f"^{arg} must be real, got complex values$"):
+        call(1.0 + 1.0j)

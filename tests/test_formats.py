@@ -277,7 +277,7 @@ def test_canonical_dict_uses_one_based_permutation():
 
 
 def test_settings_round_trip_and_validation():
-    s = EstimatorSettings(knn_k=6, spacing_m=50, tolerance_multiplier=2.0, jitter_seed=5)
+    s = EstimatorSettings(knn_k=6, spacing_m=50, tolerance_multiplier=2.0)
     assert fmt.settings_from_dict(fmt.settings_to_dict(s)) == s
     with pytest.raises(ValueError):
         fmt.settings_from_dict({"knn_k": 4, "bogus": 1})
@@ -455,9 +455,9 @@ GOLDEN = {
     ),
     "settings": (
         lambda: fmt.settings_to_dict(
-            EstimatorSettings(knn_k=6, spacing_m=None, tolerance_multiplier=2.5, jitter_seed=9)
+            EstimatorSettings(knn_k=6, spacing_m=None, tolerance_multiplier=2.5)
         ),
-        '{"jitter_seed": 9, "knn_k": 6, "spacing_m": null, "tolerance_multiplier": 2.5}',
+        '{"knn_k": 6, "spacing_m": null, "tolerance_multiplier": 2.5}',
     ),
     "config": (
         lambda: fmt.config_to_dict(
@@ -469,7 +469,7 @@ GOLDEN = {
                 trials=2,
             )
         ),
-        '{"estimator": {"jitter_seed": 0, "knn_k": 4, "spacing_m": null, "tolerance_multiplier": 3.0}, '
+        '{"estimator": {"knn_k": 4, "spacing_m": null, "tolerance_multiplier": 3.0}, '
         '"matrix": {"cols": 2, "data": [[1.0, 0.5]], "field": "real", "rows": 1}, "n_samples": 1000, "seed": 7, '
         '"sources": [{"family": "gaussian", "field": "real", "params": {"mu": 0.0, "sigma": 1.0}}, '
         '{"family": "gaussian", "field": "real", "params": {"mu": 0.5, "sigma": 2.0}}], "trials": 2}',
@@ -555,6 +555,40 @@ def test_encoder_golden_bytes(name):
     encode, compact = GOLDEN[name]
     expected = json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
     assert fmt.canonical_json(encode()) == expected
+
+
+@pytest.mark.parametrize("golden, decode, key, value, message", [
+    ("estimate", fmt.estimate_from_dict, "n_samples", 3000.5, "estimate 'n_samples' must be an integer, got 3000.5"),
+    ("classification_complex", fmt.classification_from_dict, "present", ["1", 2],
+     "classification 'present' must be an integer, got '1'"),
+    ("canonical", fmt.canonical_from_dict, "permutation", [3, 1, 2.5],
+     "canonical 'permutation' must be an integer, got 2.5"),
+    ("epi_report_trivial", fmt.epi_report_from_dict, "trivial", "false",
+     "epi report 'trivial' must be true or false, got 'false'"),
+    ("extraction_non_finite", fmt.extraction_from_dict, "converged", "false",
+     "extraction 'converged' must be true or false, got 'false'"),
+    ("extraction_non_finite", fmt.extraction_from_dict, "sweeps", 2.9,
+     "extraction 'sweeps' must be an integer, got 2.9"),
+], ids=["estimate", "classification", "canonical", "epi_report", "extraction_converged", "extraction_sweeps"])
+def test_report_decoders_reject_bad_values(golden, decode, key, value, message):
+    d = GOLDEN[golden][0]()
+    decode(d)
+    d[key] = value
+    with pytest.raises(ValueError) as err:
+        decode(d)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("decode, good, key", [
+    (fmt.matrix_from_dict, {"rows": 1, "cols": 2, "field": "real", "data": [[1.0, 2.0]]}, "colums"),
+    (fmt.model_from_dict, {"family": "gaussian", "params": {"sigma": 1.0}}, "feild"),
+    (fmt.sources_from_obj, {"sources": [{"family": "gaussian", "params": {"sigma": 1.0}}]}, "source"),
+], ids=["matrix", "source", "sources"])
+def test_readers_reject_unknown_keys(decode, good, key):
+    decode(good)
+    with pytest.raises(ValueError) as err:
+        decode({**good, key: 1})
+    assert str(err.value).endswith(f" keys: [{key!r}]")
 
 
 

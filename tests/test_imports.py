@@ -125,7 +125,7 @@ def test_verb_loads_only_the_scipy_it_calls(case, verb_inputs):
 
 
 # Each imports the scipy it needs on its first call, after an import of the
-# package that loaded none; the second kNN call takes the jitter branch.
+# package that loaded none; the second kNN call has every point twice.
 FIRST_CALLS = [
     "mixent.knn_entropy(np.linspace(0.0, 1.0, 300).reshape(150, 2) ** 2).value",
     "mixent.knn_entropy(np.repeat(np.arange(60.0), 2)).value",
