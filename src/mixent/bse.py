@@ -26,9 +26,9 @@ from .entropy import (
     _block_std_error,
     _knn_value,
     _require_finite,
+    default_spacing_window,
     estimate_entropy,
     spacing_entropy_value,
-    spacing_window,
 )
 from .errors import (
     RankDeficient,
@@ -141,21 +141,21 @@ def whiten(obs: Observation):
     return Observation(samples=yc @ C.T, field=obs.field), C
 
 
-def _row_scorer(field: str, n: int, settings: EstimatorSettings):
-    """Entropy estimate of one row of n samples: m-spacings in one reused
-    workspace for real rows (sorting the row in place), kNN on the (re, im)
-    float64 view of a contiguous complex row otherwise, each looked up in
-    this module at call time so traced runs count it.  Raises ValueError
-    for a real window outside [1, n // 2]."""
+def _row_scorer(field: str, n: int):
+    """Default entropy estimate of one row of n samples: m-spacings with the
+    default window in one reused workspace for real rows (sorting the row in
+    place), kNN with the default k on the (re, im) float64 view of a
+    contiguous complex row otherwise, each looked up in this module at call
+    time so traced runs count it."""
     if field == "real":
-        window = spacing_window(n, settings.spacing_m)
+        window = default_spacing_window(n)
         work = SpacingWorkspace(n, window)
         return lambda z: spacing_entropy_value(z, window, work)
-    return lambda z: _knn_value(z.view(np.float64).reshape(-1, 2), settings.knn_k)
+    return lambda z: _knn_value(z.view(np.float64).reshape(-1, 2), EstimatorSettings.knn_k)
 
 
-def _marginal_entropy_value(z: np.ndarray, field: str, settings: EstimatorSettings) -> float:
-    return _row_scorer(field, z.shape[0], settings)(z.copy())
+def _marginal_entropy_value(z: np.ndarray, field: str) -> float:
+    return _row_scorer(field, z.shape[0])(z.copy())
 
 
 def _demixer_array(W, field: str, channels: int) -> np.ndarray:
@@ -182,7 +182,7 @@ def _log_volume(W: np.ndarray, samples: np.ndarray, field: str) -> float:
     return real_dims(field) / 2 * logdet
 
 
-def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> float:
+def contrast(W, obs: Observation) -> float:
     """Extraction contrast: marginal entropy estimates minus log volume.
 
     sum_i h(w_i Y) - (d / 2) log det(W K W^H) with d real dimensions per
@@ -197,17 +197,11 @@ def contrast(W, obs: Observation, settings: EstimatorSettings | None = None) -> 
         If the demixed covariance W K W^H is numerically singular.
     UnsupportedFamily
         A complex W for real data.
-    ValueError
-        Real data with ``settings.spacing_m`` outside [1, N // 2].
     """
-    settings = settings or EstimatorSettings()
     arr = _demixer_array(W, obs.field, obs.samples.shape[1])
     log_volume = _log_volume(arr, obs.samples, obs.field)
     Z = obs.samples @ arr.T
-    hsum = sum(
-        _marginal_entropy_value(Z[:, i], obs.field, settings)
-        for i in range(arr.shape[0])
-    )
+    hsum = sum(_marginal_entropy_value(Z[:, i], obs.field) for i in range(arr.shape[0]))
     return float(hsum - log_volume)
 
 
@@ -291,14 +285,7 @@ class ExtractionResult:
     seed: int
 
 
-def _optimize_frame(
-    Yw: np.ndarray,
-    m: int,
-    U0: np.ndarray,
-    field: str,
-    settings: EstimatorSettings,
-    max_sweeps: int,
-):
+def _optimize_frame(Yw: np.ndarray, m: int, U0: np.ndarray, field: str, max_sweeps: int):
     """Coordinate descent over Givens rotations of an orthonormal frame.
 
     Sweeps until one lowers the objective by less than ``_SWEEP_TOL``
@@ -309,11 +296,11 @@ def _optimize_frame(
     U = U0.copy()
     # One contiguous row per frame vector, so rotations stream through memory.
     Z = np.ascontiguousarray((Yw @ U.T).T)
-    hvals = np.array([_marginal_entropy_value(Z[i], field, settings) for i in range(m)])
+    hvals = np.array([_marginal_entropy_value(Z[i], field) for i in range(m)])
     complex_field = field == "complex"
     # The search writes each rotated row into one of two buffers, which the
     # scorer may then overwrite.
-    score = _row_scorer(field, Z.shape[1], settings)
+    score = _row_scorer(field, Z.shape[1])
     bp, bq = np.empty_like(Z[0]), np.empty_like(Z[0])
     trace = [float(hvals.sum())]
     converged = False
@@ -375,7 +362,6 @@ def minimize_contrast(
     n_extract: int,
     seed: int = 0,
     restarts: int = 5,
-    settings: EstimatorSettings | None = None,
     max_sweeps: int = 50,
 ) -> ExtractionResult:
     """Search for the demixing matrix minimizing the extraction contrast.
@@ -393,9 +379,7 @@ def minimize_contrast(
     The search runs in two stages.  The restarts only have to find the
     basin of a separating frame, so they search every ``stride``-th
     whitened point, ``stride = max(1, N // 5000)``: 5000 to 10,000 points
-    once N reaches 10,000, and all N below that.  An explicit real
-    ``settings.spacing_m`` = m lowers the stride to at most N // (2 m), so
-    the restarts search at least 2 m points.  When ``stride > 1`` the
+    once N reaches 10,000, and all N below that.  When ``stride > 1`` the
     best restart's frame is then polished by the same descent, with the
     same stop rules and ``max_sweeps``, on all N points.
 
@@ -412,10 +396,8 @@ def minimize_contrast(
     SingularCovariance
         Numerically singular observation covariance.
     ValueError
-        ``restarts`` or ``max_sweeps`` below 1, or real data with
-        ``settings.spacing_m`` outside [1, N // 2].
+        ``restarts`` or ``max_sweeps`` below 1.
     """
-    settings = settings or EstimatorSettings()
     N, n = obs.samples.shape
     if N < 1000:
         raise TooFewSamples(f"extraction needs at least 1000 samples, got {N}")
@@ -426,8 +408,6 @@ def minimize_contrast(
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     stride = max(1, N // _COARSE_POINTS)
-    if obs.field == "real" and settings.spacing_m is not None:
-        stride = max(1, min(stride, N // (2 * spacing_window(N, settings.spacing_m))))
 
     wobs, C = whiten(obs)
     complex_field = obs.field == "complex"
@@ -437,7 +417,7 @@ def minimize_contrast(
     for r in range(restarts):
         U0 = haar_rows(generator(seed, 1000 + r), n, n, complex_field)
         U, obj, sweeps, conv, trace = _optimize_frame(
-            wobs.samples[::stride], n_extract, U0, obs.field, settings, max_sweeps
+            wobs.samples[::stride], n_extract, U0, obs.field, max_sweeps
         )
         objectives.append(obj)
         traces.append(trace)
@@ -446,15 +426,13 @@ def minimize_contrast(
 
     U, _, sweeps, conv, r_best = best
     if stride > 1:
-        U, _, _, polished, _ = _optimize_frame(
-            wobs.samples, n_extract, U, obs.field, settings, max_sweeps
-        )
+        U, _, _, polished, _ = _optimize_frame(wobs.samples, n_extract, U, obs.field, max_sweeps)
         conv = conv and polished
     W = U[:n_extract] @ C
     W = W / np.linalg.norm(W, axis=1, keepdims=True)
     return ExtractionResult(
         demixer=W,
-        contrast_value=contrast(W, obs, settings),
+        contrast_value=contrast(W, obs),
         converged=conv,
         sweeps=sweeps,
         best_restart=r_best,
@@ -497,14 +475,7 @@ class ContrastDecomposition:
     seed: int
 
 
-def oracle_decompose(
-    W,
-    mixing,
-    sources,
-    n_samples: int,
-    seed: int,
-    settings: EstimatorSettings | None = None,
-) -> ContrastDecomposition:
+def oracle_decompose(W, mixing, sources, n_samples: int, seed: int) -> ContrastDecomposition:
     """Decompose the contrast of W against a known mixing model.
 
     Samples X from the source models, forms Y = M X and Z = W Y, and splits
@@ -527,7 +498,6 @@ def oracle_decompose(
         Real sources under a complex mixing matrix, sources of both fields,
         or a complex W for real sources under a real mixing matrix.
     """
-    settings = settings or EstimatorSettings()
     M = as_array(mixing)
     sources = list(sources)
     # A real matrix mixes sources of either field, a complex one complex sources only.
@@ -548,7 +518,7 @@ def oracle_decompose(
     A = Warr @ M
     log_volume = _log_volume(Warr, Y, field)
 
-    estimates = [estimate_entropy(Z[:, [i]], field, settings) for i in range(m)]
+    estimates = [estimate_entropy(Z[:, [i]], field, EstimatorSettings()) for i in range(m)]
     hsum = sum(e.value for e in estimates)
     d = real_dims(field)
 

@@ -48,12 +48,12 @@ _SHUFFLE_SEED = 0x5EB10C5
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    """Estimator choices shared by the experiment harness and extraction.
+    """Estimator choices of the experiment harness; extraction always runs
+    the defaults.
 
     ``tolerance_multiplier`` scales the gap standard error into the
     violation tolerance; it must be finite and at least 0.  ``knn_k`` must
-    be at least 1.  ``spacing_m`` is checked against the sample size where
-    it is used (see :func:`spacing_window`).
+    be at least 1.  :func:`spacing_entropy` checks ``spacing_m``.
     """
 
     knn_k: int = 4
@@ -176,16 +176,6 @@ def default_spacing_window(n: int) -> int:
     return int(min(max(round(math.sqrt(n)), 1), n // 2))
 
 
-def spacing_window(n: int, m: int | None = None) -> int:
-    """Window of an m-spacing estimate of n points: ``m``, or the default
-    window when ``m`` is None.  Raises ValueError unless 1 <= m <= n // 2."""
-    if m is None:
-        return default_spacing_window(n)
-    if not 1 <= m <= n // 2:
-        raise ValueError(f"window m={m} out of range [1, {n // 2}]")
-    return m
-
-
 def _block_std_error(estimate_block, x: np.ndarray, min_block: int) -> float:
     n = x.shape[0]
     n_blocks = min(10, n // max(min_block, 10))
@@ -208,7 +198,7 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     samples:
         1-D real sample array, at least 10 points.
     m:
-        Window size; defaults to round(sqrt(n)).
+        Window size; defaults to round(sqrt(n)).  ValueError unless 1 <= m <= n // 2.
 
     Returns
     -------
@@ -228,7 +218,10 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     if n < 10:
         raise TooFewSamples(f"need at least 10 samples, got {n}")
     _require_finite(x)
-    m = spacing_window(n, m)
+    if m is None:
+        m = default_spacing_window(n)
+    elif not 1 <= m <= n // 2:
+        raise ValueError(f"window m={m} out of range [1, {n // 2}]")
     value = spacing_entropy_value(x, m)
     se = _block_std_error(
         lambda blk: spacing_entropy_value(blk, default_spacing_window(blk.size)),
@@ -332,8 +325,8 @@ def gaussian_mix_entropy(A, sigmas) -> float:
     sig = _real_array(sigmas, "sigmas")
     if sig.ndim != 1 or sig.size != arr.shape[1]:
         raise ValueError("sigmas must have one entry per column of A")
-    if not np.all(sig > 0):
-        raise ValueError("sigmas must be strictly positive")
+    if not np.all(np.isfinite(sig) & (sig > 0)):
+        raise ValueError("sigmas must be finite and strictly positive")
     m = arr.shape[0]
     if rank_of(arr * sig) < m:
         raise RankDeficient("A diag(sigma) is rank deficient; the mixture entropy is -inf")

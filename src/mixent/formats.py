@@ -112,6 +112,23 @@ def _keys(d: dict, required: tuple, optional: tuple, what: str) -> None:
         raise ValueError(f"missing {what} keys: {missing}")
 
 
+def _choice(v, choices: tuple, what: str):
+    if v not in choices:
+        raise ValueError(f"{what} must be one of {list(choices)}, got {v!r}")
+    return v
+
+
+def _indices(v, what: str) -> tuple[int, ...]:
+    """A 1-based JSON index list as 0-based indices; ValueError naming
+    ``what`` unless it lists distinct integers, each at least 1."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {v!r}")
+    idx = tuple(_int(j, what) - 1 for j in v)
+    if min(idx, default=0) < 0 or len(set(idx)) != len(idx):
+        raise ValueError(f"{what} must list distinct integers of at least 1, got {list(v)}")
+    return idx
+
+
 def _plain(obj):
     """Recursively convert to JSON-encodable data with sanitized floats."""
     if isinstance(obj, dict):
@@ -307,11 +324,13 @@ def estimate_to_dict(e: EntropyEstimate) -> dict:
 
 
 def estimate_from_dict(d: dict) -> EntropyEstimate:
+    required = ("value", "method", "n_samples", "params", "std_error")
+    _keys(_object(d, "estimate"), required, (), "estimate")
     return EntropyEstimate(
         value=_denum(d["value"]),
-        method=d["method"],
+        method=_choice(d["method"], ("spacing", "knn", "closed_form"), "estimate 'method'"),
         n_samples=_int(d["n_samples"], "estimate 'n_samples'"),
-        params=dict(d["params"]),
+        params=dict(_object(d["params"], "estimate 'params'")),
         std_error=_denum(d["std_error"]),
     )
 
@@ -335,6 +354,8 @@ def classification_to_dict(c: ComponentClassification) -> dict:
 def classification_from_dict(d: dict) -> ComponentClassification:
     """Decode; empty witnesses get shape (0, rows), or (0, 0) for a dict
     without ``rows``."""
+    required = ("present", "recoverable", "witnesses", "tolerance")
+    _keys(_object(d, "classification"), required, ("rows", "field"), "classification")
     field = d.get("field", "real")
     data = d["witnesses"]
     if data:
@@ -343,8 +364,8 @@ def classification_from_dict(d: dict) -> ComponentClassification:
         rows = _int(d.get("rows", 0), "classification 'rows'")
         witnesses = np.zeros((0, rows), dtype=dtype_of(field))
     return ComponentClassification(
-        present=tuple(_int(j, "classification 'present'") - 1 for j in d["present"]),
-        recoverable=tuple(_int(j, "classification 'recoverable'") - 1 for j in d["recoverable"]),
+        present=_indices(d["present"], "classification 'present'"),
+        recoverable=_indices(d["recoverable"], "classification 'recoverable'"),
         witnesses=witnesses,
         tolerance=_denum(d["tolerance"]),
     )
@@ -358,9 +379,12 @@ def canonical_to_dict(dec: CanonicalDecomposition) -> dict:
 
 
 def canonical_from_dict(d: dict) -> CanonicalDecomposition:
+    _keys(_object(d, "canonical"), ("B", "permutation", "r", "tail", "field"), (), "canonical")
     field = d["field"]
     B = _data_to_array(d["B"], field)
-    permutation = tuple(_int(j, "canonical 'permutation'") - 1 for j in d["permutation"])
+    permutation = _indices(d["permutation"], "canonical 'permutation'")
+    if max(permutation, default=-1) >= len(permutation):
+        raise ValueError(f"canonical 'permutation' must hold 1..{len(permutation)} once each")
     r = _int(d["r"], "canonical 'r'")
     if d["tail"]:
         tail = _data_to_array(d["tail"], field)
@@ -431,6 +455,8 @@ def epi_report_to_dict(report: EpiReport) -> dict:
 
 
 def epi_report_from_dict(d: dict) -> EpiReport:
+    keys = tuple(f.name for f in dataclasses.fields(EpiReport))
+    _keys(_object(d, "epi report"), keys, (), "epi report")
     return EpiReport(
         lhs=None if d["lhs"] is None else estimate_from_dict(d["lhs"]),
         rhs=None if d["rhs"] is None else _denum(d["rhs"]),
@@ -440,7 +466,9 @@ def epi_report_from_dict(d: dict) -> EpiReport:
         ),
         per_trial_gaps=tuple(_denum(g) for g in d["per_trial_gaps"]),
         tolerance=None if d["tolerance"] is None else _denum(d["tolerance"]),
-        verdict=d["verdict"],
+        verdict=_choice(
+            d["verdict"], ("strict", "near_equality", "violation_flag"), "epi report 'verdict'"
+        ),
         classification=(
             None
             if d["classification"] is None
@@ -471,6 +499,12 @@ def extraction_to_dict(result: ExtractionResult) -> dict:
 
 
 def extraction_from_dict(d: dict) -> ExtractionResult:
+    keys = ("W", "contrast", "trace", "whitener", "seeds", "converged", "sweeps", "best_restart",
+            "restart_objectives", "n_extracted")
+    _keys(_object(d, "extraction"), keys, (), "extraction")
+    seeds = d["seeds"]
+    if not (isinstance(seeds, (list, tuple)) and len(seeds) == 1):
+        raise ValueError(f"extraction 'seeds' must hold exactly one seed, got {seeds!r}")
     return ExtractionResult(
         demixer=matrix_from_dict(d["W"]).array,
         contrast_value=_denum(d["contrast"]),
@@ -481,7 +515,7 @@ def extraction_from_dict(d: dict) -> ExtractionResult:
         trace=tuple(tuple(_denum(v) for v in t) for t in d["trace"]),
         whitener=matrix_from_dict(d["whitener"]).array,
         n_extracted=_int(d["n_extracted"], "extraction 'n_extracted'"),
-        seed=_int(d["seeds"][0], "extraction 'seeds'"),
+        seed=_int(seeds[0], "extraction 'seeds'"),
     )
 
 

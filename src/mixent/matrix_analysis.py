@@ -67,13 +67,10 @@ class MixingMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.array)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("matrix must be 2-D with at least one row and column")
         if real_dims(self.field) == 1 and np.iscomplexobj(arr):
             raise ValueError("real matrix has complex entries")
         arr = arr.astype(dtype_of(self.field))
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
+        _require_matrix(arr)
         object.__setattr__(self, "array", arr)
 
     @classmethod
@@ -90,16 +87,21 @@ class MixingMatrix:
         return self.array.shape[1]
 
 
+def _require_matrix(arr: np.ndarray) -> None:
+    """ValueError unless ``arr`` is a finite matrix with a row and a column."""
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("matrix must be 2-D with at least one row and column")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+
+
 def as_array(A) -> np.ndarray:
-    """Coerce a MixingMatrix or array-like to a finite 2-D ndarray."""
+    """Coerce a MixingMatrix or array-like to a finite, nonempty 2-D ndarray."""
     if isinstance(A, MixingMatrix):
         return A.array
     arr = np.asarray(A)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
     arr = arr.astype(dtype_of(field_of(arr)))
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
+    _require_matrix(arr)
     return arr
 
 

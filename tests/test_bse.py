@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from mixent import (
     DegenerateData,
-    EstimatorSettings,
     Observation,
     RankDeficient,
     SingularCovariance,
@@ -325,37 +324,6 @@ def test_minimize_contrast_validation():
         minimize_contrast(small, 1)
 
 
-def test_spacing_window_checked_against_sample_size(monkeypatch):
-    _, obs = uniform_observation(2, 1000, 38)
-    for m in (0, 501, 600):
-        with pytest.raises(ValueError, match=rf"window m={m} out of range \[1, 500\]"):
-            minimize_contrast(obs, 1, restarts=1, settings=EstimatorSettings(spacing_m=m))
-        with pytest.raises(ValueError, match=rf"window m={m} out of range \[1, 500\]"):
-            contrast(np.eye(2), obs, EstimatorSettings(spacing_m=m))
-    assert np.isfinite(contrast(np.eye(2), obs, EstimatorSettings(spacing_m=500)))
-    # On 20k points an explicit window is checked against N, and the restarts
-    # search every stride-th point with the stride lowered to keep 2m points.
-    import mixent.bse as bse
-
-    _, big = uniform_observation(2, 20000, 38)
-    with pytest.raises(ValueError, match=r"window m=10001 out of range \[1, 10000\]"):
-        minimize_contrast(big, 1, restarts=1, settings=EstimatorSettings(spacing_m=10001))
-    rows, optimize = [], bse._optimize_frame
-
-    def recorded_optimize(samples, *args):
-        rows.append(samples.shape[0])
-        return optimize(samples, *args)
-
-    monkeypatch.setattr(bse, "_optimize_frame", recorded_optimize)
-    for m, searched in ((3000, [6667, 20000]), (10000, [20000])):
-        rows.clear()
-        res = minimize_contrast(
-            big, 1, restarts=1, settings=EstimatorSettings(spacing_m=m), max_sweeps=1
-        )
-        assert rows == searched
-        assert np.isfinite(res.contrast_value)
-
-
 def _extraction_digest(result):
     text = fmt.canonical_json(fmt.extraction_to_dict(result))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -367,10 +335,8 @@ def test_minimize_contrast_seeded_golden():
     gen = np.random.Generator(np.random.Philox(2019))
     M, _ = np.linalg.qr(gen.standard_normal((3, 3)))
     X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 3000, 61)
-    res = minimize_contrast(
-        Observation.from_samples(X @ M.T), 2, seed=7, restarts=2, settings=EstimatorSettings(spacing_m=2)
-    )
-    assert _extraction_digest(res) == "c9e6413af7aa885c984c442245c0005253ba083c83d328a75739e922b37f8a34"
+    res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=7, restarts=2)
+    assert _extraction_digest(res) == "3fa969ad80bdaf889f9e524a72208c4b74b6be0a90df66ba42a5e2b34b73ae62"
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)

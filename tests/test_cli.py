@@ -207,6 +207,16 @@ def test_entropy_spacing(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["params"]["m"] == 30
 
 
+def test_entropy_spacing_window_out_of_range_exit_four(tmp_path, capsys):
+    src = write_sources(tmp_path / "s.json", [gaussian(1.0)])
+    main(["generate", "--sources", src, "--n", "1000", "--seed", "3", "--out", str(tmp_path / "x.csv")])
+    assert main([
+        "entropy", "--input", str(tmp_path / "x.csv"),
+        "--method", "spacing", "--m-spacing", "501",
+    ]) == 4
+    assert "window m=501 out of range [1, 500]" in capsys.readouterr().err
+
+
 def test_entropy_knn(tmp_path, capsys):
     src = write_sources(tmp_path / "s.json", [gaussian(1.0)] * 2)
     main(["generate", "--sources", src, "--n", "8000", "--seed", "3", "--out", str(tmp_path / "xy.csv")])

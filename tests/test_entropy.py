@@ -82,6 +82,14 @@ def test_spacing_window_default():
     assert est50.params == {"m": 50}
 
 
+def test_spacing_window_checked_against_sample_size():
+    x = sample(uniform(0.0, 1.0), 1000, 38)
+    for m in (0, 501, 600):
+        with pytest.raises(ValueError, match=rf"window m={m} out of range \[1, 500\]"):
+            spacing_entropy(x, m=m)
+    assert np.isfinite(spacing_entropy(x, m=500).value)
+
+
 def test_spacing_errors():
     with pytest.raises(TooFewSamples):
         spacing_entropy(np.arange(5.0))
@@ -377,3 +385,9 @@ def test_gaussian_mix_entropy_errors():
         gaussian_mix_entropy(np.eye(2), [1.0])
     with pytest.raises(ValueError):
         gaussian_mix_entropy(np.eye(2), [1.0, -1.0])
+
+
+@pytest.mark.parametrize("sigma", [np.inf, np.nan])
+def test_gaussian_mix_entropy_rejects_non_finite_sigmas(sigma):
+    with pytest.raises(ValueError, match="sigmas must be finite and strictly positive"):
+        gaussian_mix_entropy(np.eye(2), [1.0, sigma])

@@ -579,6 +579,58 @@ def test_report_decoders_reject_bad_values(golden, decode, key, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("golden, decode, key, value, message", [
+    ("classification_complex", fmt.classification_from_dict, "present", [0, 2],
+     "classification 'present' must list distinct integers of at least 1, got [0, 2]"),
+    ("classification_complex", fmt.classification_from_dict, "recoverable", [2, 2],
+     "classification 'recoverable' must list distinct integers of at least 1, got [2, 2]"),
+    ("canonical", fmt.canonical_from_dict, "permutation", [0, 1, 2],
+     "canonical 'permutation' must list distinct integers of at least 1, got [0, 1, 2]"),
+    ("canonical", fmt.canonical_from_dict, "permutation", [1, 1, 2],
+     "canonical 'permutation' must list distinct integers of at least 1, got [1, 1, 2]"),
+    ("canonical", fmt.canonical_from_dict, "permutation", [1, 2, 4],
+     "canonical 'permutation' must hold 1..3 once each"),
+], ids=["present_zero", "recoverable_repeat", "permutation_zero", "permutation_repeat", "permutation_gap"])
+def test_one_based_index_lists_checked(golden, decode, key, value, message):
+    d = GOLDEN[golden][0]()
+    d[key] = value
+    with pytest.raises(ValueError) as err:
+        decode(d)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("golden, decode, key, value, message", [
+    ("estimate", fmt.estimate_from_dict, "value", None, "missing estimate keys: ['value']"),
+    ("estimate", fmt.estimate_from_dict, "method", "bogus",
+     "estimate 'method' must be one of ['spacing', 'knn', 'closed_form'], got 'bogus'"),
+    ("estimate", fmt.estimate_from_dict, "params", [["k", 4]],
+     "estimate 'params' must be a JSON object, got [['k', 4]]"),
+    ("estimate", fmt.estimate_from_dict, "extra", 1, "unknown estimate keys: ['extra']"),
+    ("classification_complex", fmt.classification_from_dict, "extra", 1,
+     "unknown classification keys: ['extra']"),
+    ("canonical", fmt.canonical_from_dict, "r", None, "missing canonical keys: ['r']"),
+    ("epi_report_trivial", fmt.epi_report_from_dict, "verdict", "whatever",
+     "epi report 'verdict' must be one of ['strict', 'near_equality', 'violation_flag'], got 'whatever'"),
+    ("epi_report_trivial", fmt.epi_report_from_dict, "seed", None, "missing epi report keys: ['seed']"),
+    ("extraction_non_finite", fmt.extraction_from_dict, "seeds", [],
+     "extraction 'seeds' must hold exactly one seed, got []"),
+    ("extraction_non_finite", fmt.extraction_from_dict, "extra", 1, "unknown extraction keys: ['extra']"),
+], ids=[
+    "estimate_missing", "estimate_method", "estimate_params", "estimate_unknown", "classification_unknown",
+    "canonical_missing", "epi_verdict", "epi_missing", "extraction_seeds", "extraction_unknown",
+])
+def test_report_decoders_raise_value_error(golden, decode, key, value, message):
+    # A value of None stands for a missing key.
+    d = GOLDEN[golden][0]()
+    if value is None:
+        del d[key]
+    else:
+        d[key] = value
+    with pytest.raises(ValueError) as err:
+        decode(d)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("decode, good, key", [
     (fmt.matrix_from_dict, {"rows": 1, "cols": 2, "field": "real", "data": [[1.0, 2.0]]}, "colums"),
     (fmt.model_from_dict, {"family": "gaussian", "params": {"sigma": 1.0}}, "feild"),

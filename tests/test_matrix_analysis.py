@@ -20,6 +20,7 @@ from mixent import (
     ZeroColumn,
     canonical_form,
     classify_components,
+    gaussian_mix_entropy,
     gram_schmidt_rows,
     hat_embed,
     log_concavity_gap,
@@ -67,6 +68,20 @@ def test_mixing_matrix_validation():
         MixingMatrix.from_array(np.array([[np.inf, 0.0]]))
     with pytest.raises(ValueError):
         MixingMatrix(np.eye(2) * 1j, field="real")
+
+
+@pytest.mark.parametrize("call", [
+    classify_components,
+    canonical_form,
+    orthogonal_complement,
+    lambda A: log_concavity_gap(A, np.ones(3)),
+    gram_schmidt_rows,
+    lambda A: gaussian_mix_entropy(A, np.ones(3)),
+], ids=["classify", "canonical", "complement", "concavity_gap", "gram_schmidt", "mix_entropy"])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_empty_matrix_rejected(call, shape):
+    with pytest.raises(ValueError, match="matrix must be 2-D with at least one row and column"):
+        call(np.zeros(shape))
 
 
 def test_classify_identity_all_recoverable():
