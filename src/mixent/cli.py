@@ -195,7 +195,10 @@ def _build_parser() -> _Parser:
         help="cross-check the sample field",
     )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
-    p.add_argument("--restarts", type=_positive_int, default=5, help="random restarts")
+    p.add_argument(
+        "--restarts", type=_positive_int, default=5,
+        help="most random restarts; they stop once two end within 0.02 nats of the best",
+    )
     p.add_argument(
         "--truth-mix", default=None,
         help="known mixing matrix JSON for separation scoring",

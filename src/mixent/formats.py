@@ -118,12 +118,17 @@ def _choice(v, choices: tuple, what: str):
     return v
 
 
+def _list(v, what: str) -> tuple:
+    """The entries of a JSON list; ValueError naming ``what`` unless ``v`` is one."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {v!r}")
+    return tuple(v)
+
+
 def _indices(v, what: str) -> tuple[int, ...]:
     """A 1-based JSON index list as 0-based indices; ValueError naming
     ``what`` unless it lists distinct integers, each at least 1."""
-    if not isinstance(v, (list, tuple)):
-        raise ValueError(f"{what} must be a list, got {v!r}")
-    idx = tuple(_int(j, what) - 1 for j in v)
+    idx = tuple(_int(j, what) - 1 for j in _list(v, what))
     if min(idx, default=0) < 0 or len(set(idx)) != len(idx):
         raise ValueError(f"{what} must list distinct integers of at least 1, got {list(v)}")
     return idx
@@ -464,7 +469,9 @@ def epi_report_from_dict(d: dict) -> EpiReport:
         gap_std_error=(
             None if d["gap_std_error"] is None else _denum(d["gap_std_error"])
         ),
-        per_trial_gaps=tuple(_denum(g) for g in d["per_trial_gaps"]),
+        per_trial_gaps=tuple(
+            _denum(g) for g in _list(d["per_trial_gaps"], "epi report 'per_trial_gaps'")
+        ),
         tolerance=None if d["tolerance"] is None else _denum(d["tolerance"]),
         verdict=_choice(
             d["verdict"], ("strict", "near_equality", "violation_flag"), "epi report 'verdict'"
@@ -502,19 +509,44 @@ def extraction_from_dict(d: dict) -> ExtractionResult:
     keys = ("W", "contrast", "trace", "whitener", "seeds", "converged", "sweeps", "best_restart",
             "restart_objectives", "n_extracted")
     _keys(_object(d, "extraction"), keys, (), "extraction")
-    seeds = d["seeds"]
-    if not (isinstance(seeds, (list, tuple)) and len(seeds) == 1):
-        raise ValueError(f"extraction 'seeds' must hold exactly one seed, got {seeds!r}")
+    seeds = _list(d["seeds"], "extraction 'seeds'")
+    if len(seeds) != 1:
+        raise ValueError(f"extraction 'seeds' must hold exactly one seed, got {d['seeds']!r}")
+    W = matrix_from_dict(d["W"]).array
+    n_extracted = _int(d["n_extracted"], "extraction 'n_extracted'")
+    if n_extracted != W.shape[0]:
+        raise ValueError(
+            f"extraction 'n_extracted' must equal the rows of 'W' ({W.shape[0]}), got {n_extracted}"
+        )
+    objectives = tuple(
+        _denum(v) for v in _list(d["restart_objectives"], "extraction 'restart_objectives'")
+    )
+    if not objectives:
+        raise ValueError("extraction 'restart_objectives' must list at least one restart")
+    trace = tuple(
+        tuple(_denum(v) for v in _list(t, "extraction 'trace' entry"))
+        for t in _list(d["trace"], "extraction 'trace'")
+    )
+    if len(trace) != len(objectives):
+        raise ValueError(
+            f"extraction 'trace' must hold one entry per restart objective ({len(objectives)}), "
+            f"got {len(trace)}"
+        )
+    best_restart = _int(d["best_restart"], "extraction 'best_restart'")
+    if not 0 <= best_restart < len(objectives):
+        raise ValueError(
+            f"extraction 'best_restart' must be in [0, {len(objectives) - 1}], got {best_restart}"
+        )
     return ExtractionResult(
-        demixer=matrix_from_dict(d["W"]).array,
+        demixer=W,
         contrast_value=_denum(d["contrast"]),
         converged=_bool(d["converged"], "extraction 'converged'"),
         sweeps=_int(d["sweeps"], "extraction 'sweeps'"),
-        best_restart=_int(d["best_restart"], "extraction 'best_restart'"),
-        restart_objectives=tuple(_denum(v) for v in d["restart_objectives"]),
-        trace=tuple(tuple(_denum(v) for v in t) for t in d["trace"]),
+        best_restart=best_restart,
+        restart_objectives=objectives,
+        trace=trace,
         whitener=matrix_from_dict(d["whitener"]).array,
-        n_extracted=_int(d["n_extracted"], "extraction 'n_extracted'"),
+        n_extracted=n_extracted,
         seed=_int(seeds[0], "extraction 'seeds'"),
     )
 

@@ -38,6 +38,20 @@ def uniform_observation(n, n_samples, seed):
     return X, Observation.from_samples(X)
 
 
+def assert_restarts_stopped_at_agreement(res, restarts):
+    # The restarts run until two objectives lie within _AGREE of their
+    # minimum, or until all ``restarts`` of them have run, and no longer.
+    import mixent.bse as bse
+
+    def agree(objectives):
+        return sum(o - min(objectives) <= bse._AGREE for o in objectives) >= 2
+
+    objectives = res.restart_objectives
+    assert not any(agree(objectives[:k]) for k in range(1, len(objectives)))
+    assert agree(objectives) or len(objectives) == restarts
+    assert len(res.trace) == len(objectives)
+
+
 def test_observation_from_samples():
     obs = Observation.from_samples(np.zeros((3, 2)))
     assert obs.field == "real"
@@ -243,7 +257,8 @@ def test_minimize_contrast_trace_non_increasing():
 def test_minimize_contrast_restart_bookkeeping():
     X, obs = uniform_observation(2, 2000, 33)
     res = minimize_contrast(obs, 1, seed=2, restarts=4)
-    assert len(res.restart_objectives) == 4
+    assert len(res.restart_objectives) == 2
+    assert_restarts_stopped_at_agreement(res, 4)
     assert res.best_restart == int(np.argmin(res.restart_objectives))
     assert res.seed == 2
     assert res.whitener.shape == (2, 2)
@@ -301,7 +316,8 @@ def test_minimize_contrast_stops_at_the_first_sweep_below_tolerance():
     X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), 20000, 1)
     max_sweeps = 50
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=1, max_sweeps=max_sweeps)
-    assert len(res.trace) == 5
+    assert len(res.trace) == 2
+    assert_restarts_stopped_at_agreement(res, 5)
     for r, trajectory in enumerate(res.trace):
         gains = -np.diff(trajectory)
         assert np.all(gains[:-1] >= tol), (r, gains)
@@ -341,6 +357,49 @@ def test_minimize_contrast_seeded_golden():
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)
     assert _extraction_digest(res) == "28841c0e7596f07204bd18bddc68345a1f7ccb58893d2b3a46fa4b1eee604966"
+
+
+def test_two_agreeing_restarts_keep_their_seeded_bytes():
+    # At restarts <= 2 the stop rule can fire only after the last restart,
+    # so such extractions keep the bytes they had when every restart ran.
+    # test_minimize_contrast_seeded_golden pins 3000 points at 2 restarts
+    # and 2000 at 1, test_complex_two_row_extraction_seeded_golden 2000 at
+    # 1; this one pins 2000 points at 2 restarts whose objectives agree, so
+    # the rule does fire.
+    import mixent.bse as bse
+
+    gen = np.random.Generator(np.random.Philox(2019))
+    M, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+    X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 2000, 61)
+    res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=7, restarts=2)
+    assert abs(res.restart_objectives[1] - res.restart_objectives[0]) <= bse._AGREE
+    assert _extraction_digest(res) == "7ab21b023c46c29020d1b49e133091df588690e12ff53437ecc7a7ba0e238a85"
+
+
+def test_restarts_stop_once_two_agree(monkeypatch):
+    # Criterion 9's first input: the first two restarts end in the same
+    # basin, so the search stops there.  With the rule switched off all five
+    # restarts run, and they find no better basin nor another pair.
+    import mixent.bse as bse
+
+    gen = np.random.Generator(np.random.Philox(9000))
+    M, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), 20000, 0)
+    obs = Observation.from_samples(X @ M.T)
+    res = minimize_contrast(obs, 2, seed=0)
+    assert len(res.restart_objectives) == 2
+    assert_restarts_stopped_at_agreement(res, 5)
+    quality = separation_quality(res.demixer, M)
+    assert quality.success and min(quality.dominance) >= 0.95
+
+    agree = bse._AGREE
+    monkeypatch.setattr(bse, "_AGREE", -np.inf)
+    full = minimize_contrast(obs, 2, seed=0)
+    assert len(full.restart_objectives) == len(full.trace) == 5
+    assert full.restart_objectives[:2] == res.restart_objectives
+    assert full.trace[:2] == res.trace
+    assert min(res.restart_objectives) <= min(full.restart_objectives) + agree
+    assert separation_quality(full.demixer, M).selected == quality.selected
 
 
 def test_complex_two_row_extraction_seeded_golden():
@@ -493,9 +552,10 @@ def test_restarts_search_a_subsample_and_the_polish_all_the_data(n_samples, monk
     X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), n_samples, 1)
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=1)
     if n_samples == 20000:
-        assert rows == [{5000}] * 5 + [{20000}]
+        assert rows == [{5000}] * 2 + [{20000}]
     else:
-        assert rows == [{3000}] * 5
+        assert rows == [{3000}] * 2
+    assert_restarts_stopped_at_agreement(res, 5)
     assert res.restart_objectives[res.best_restart] == min(res.restart_objectives)
 
 

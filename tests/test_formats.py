@@ -507,13 +507,13 @@ GOLDEN = {
         lambda: fmt.extraction_to_dict(
             ExtractionResult(
                 demixer=np.array([[0.6, 0.8]]), contrast_value=-0.125, converged=False, sweeps=30,
-                best_restart=1, restart_objectives=(INF, -0.125, NAN), trace=((0.5, NAN), (-INF, 0.25)),
+                best_restart=1, restart_objectives=(INF, -0.125, NAN), trace=((0.5, NAN), (-INF, 0.25), (INF,)),
                 whitener=np.array([[2.0, 0.0], [0.5, 1.0]]), n_extracted=1, seed=42,
             )
         ),
         '{"W": {"cols": 2, "data": [[0.6, 0.8]], "field": "real", "rows": 1}, "best_restart": 1, '
         '"contrast": -0.125, "converged": false, "n_extracted": 1, "restart_objectives": ["inf", -0.125, "nan"], '
-        '"seeds": [42], "sweeps": 30, "trace": [[0.5, "nan"], ["-inf", 0.25]], '
+        '"seeds": [42], "sweeps": 30, "trace": [[0.5, "nan"], ["-inf", 0.25], ["inf"]], '
         '"whitener": {"cols": 2, "data": [[2.0, 0.0], [0.5, 1.0]], "field": "real", "rows": 2}}',
     ),
     "quality_complex": (
@@ -631,6 +631,40 @@ def test_report_decoders_raise_value_error(golden, decode, key, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("golden, decode, key, value, message", [
+    ("extraction_non_finite", fmt.extraction_from_dict, "trace", 5, "extraction 'trace' must be a list, got 5"),
+    ("extraction_non_finite", fmt.extraction_from_dict, "trace", [[0.5], 1.0, [2.0]],
+     "extraction 'trace' entry must be a list, got 1.0"),
+    ("extraction_non_finite", fmt.extraction_from_dict, "restart_objectives", "inf",
+     "extraction 'restart_objectives' must be a list, got 'inf'"),
+    ("epi_report_trivial", fmt.epi_report_from_dict, "per_trial_gaps", 0.5,
+     "epi report 'per_trial_gaps' must be a list, got 0.5"),
+], ids=["trace", "trace_entry", "restart_objectives", "per_trial_gaps"])
+def test_report_lists_must_be_lists(golden, decode, key, value, message):
+    d = GOLDEN[golden][0]()
+    d[key] = value
+    with pytest.raises(ValueError) as err:
+        decode(d)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"n_extracted": 2}, "extraction 'n_extracted' must equal the rows of 'W' (1), got 2"),
+    ({"restart_objectives": [], "trace": []}, "extraction 'restart_objectives' must list at least one restart"),
+    ({"trace": [[0.5]]}, "extraction 'trace' must hold one entry per restart objective (3), got 1"),
+    ({"best_restart": 7}, "extraction 'best_restart' must be in [0, 2], got 7"),
+    ({"best_restart": -1}, "extraction 'best_restart' must be in [0, 2], got -1"),
+], ids=["n_extracted", "no_restarts", "trace_length", "best_restart_high", "best_restart_negative"])
+def test_extraction_fields_must_agree(changes, message):
+    # The restart stage may stop early, so the lengths vary between reports
+    # and the decoder checks them against each other.
+    d = GOLDEN["extraction_non_finite"][0]()
+    fmt.extraction_from_dict(d)
+    with pytest.raises(ValueError) as err:
+        fmt.extraction_from_dict({**d, **changes})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("decode, good, key", [
     (fmt.matrix_from_dict, {"rows": 1, "cols": 2, "field": "real", "data": [[1.0, 2.0]]}, "colums"),
     (fmt.model_from_dict, {"family": "gaussian", "params": {"sigma": 1.0}}, "feild"),
@@ -673,6 +707,7 @@ def reports(draw):
         std_error=draw(ANY_FLOAT),
     )
     classification = classify_components(A)
+    restarts = draw(st.integers(1, 3))
     batch = {
         "classification": classification,
         "estimate": estimate,
@@ -684,9 +719,9 @@ def reports(draw):
         ),
         "extraction": ExtractionResult(
             demixer=A, contrast_value=draw(ANY_FLOAT), converged=draw(st.booleans()),
-            sweeps=draw(st.integers(0, 50)), best_restart=draw(st.integers(0, 4)),
-            restart_objectives=tuple(draw(st.lists(ANY_FLOAT, min_size=1, max_size=3))),
-            trace=tuple(tuple(draw(st.lists(ANY_FLOAT, max_size=3))) for _ in range(2)),
+            sweeps=draw(st.integers(0, 50)), best_restart=draw(st.integers(0, restarts - 1)),
+            restart_objectives=tuple(draw(st.lists(ANY_FLOAT, min_size=restarts, max_size=restarts))),
+            trace=tuple(tuple(draw(st.lists(ANY_FLOAT, max_size=3))) for _ in range(restarts)),
             whitener=np.eye(n) * draw(st.floats(0.1, 10.0)), n_extracted=m,
             seed=draw(st.integers(0, 2**63)),
         ),
