@@ -41,7 +41,7 @@ from .matrix_analysis import (
     log_concavity_gap_blocks,
     rank_of,
 )
-from .rng import generator, haar_rows, normal_open
+from .rng import check_seed, generator, haar_rows, normal_open
 
 __all__ = [
     "EpiExperimentConfig",
@@ -80,6 +80,8 @@ class EpiExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
         dist.check_sources(self.sources, self.matrix.field, self.matrix.cols)
+        # The trivial and closed-form reports draw nothing, yet record the seed.
+        check_seed(self.seed)
         if self.n_samples < 1000:
             raise ValueError("n_samples must be at least 1000")
         if self.trials < 1:

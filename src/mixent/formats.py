@@ -44,19 +44,14 @@ __all__ = [
     "write_samples_csv",
     "read_samples_csv",
     "estimate_to_dict",
-    "estimate_from_dict",
     "classification_to_dict",
-    "classification_from_dict",
     "canonical_to_dict",
-    "canonical_from_dict",
     "settings_to_dict",
     "settings_from_dict",
     "config_to_dict",
     "config_from_dict",
     "epi_report_to_dict",
-    "epi_report_from_dict",
     "extraction_to_dict",
-    "extraction_from_dict",
     "quality_to_dict",
     "decomposition_to_dict",
 ]
@@ -89,12 +84,6 @@ def _int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
-def _bool(v, what: str) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"{what} must be true or false, got {v!r}")
-    return v
-
-
 def _object(d, what: str) -> dict:
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object, got {d!r}")
@@ -110,28 +99,6 @@ def _keys(d: dict, required: tuple, optional: tuple, what: str) -> None:
     missing = [key for key in required if key not in d]
     if missing:
         raise ValueError(f"missing {what} keys: {missing}")
-
-
-def _choice(v, choices: tuple, what: str):
-    if v not in choices:
-        raise ValueError(f"{what} must be one of {list(choices)}, got {v!r}")
-    return v
-
-
-def _list(v, what: str) -> tuple:
-    """The entries of a JSON list; ValueError naming ``what`` unless ``v`` is one."""
-    if not isinstance(v, (list, tuple)):
-        raise ValueError(f"{what} must be a list, got {v!r}")
-    return tuple(v)
-
-
-def _indices(v, what: str) -> tuple[int, ...]:
-    """A 1-based JSON index list as 0-based indices; ValueError naming
-    ``what`` unless it lists distinct integers, each at least 1."""
-    idx = tuple(_int(j, what) - 1 for j in _list(v, what))
-    if min(idx, default=0) < 0 or len(set(idx)) != len(idx):
-        raise ValueError(f"{what} must list distinct integers of at least 1, got {list(v)}")
-    return idx
 
 
 def _plain(obj):
@@ -328,24 +295,11 @@ def estimate_to_dict(e: EntropyEstimate) -> dict:
     return _plain(dataclasses.asdict(e))
 
 
-def estimate_from_dict(d: dict) -> EntropyEstimate:
-    required = ("value", "method", "n_samples", "params", "std_error")
-    _keys(_object(d, "estimate"), required, (), "estimate")
-    return EntropyEstimate(
-        value=_denum(d["value"]),
-        method=_choice(d["method"], ("spacing", "knn", "closed_form"), "estimate 'method'"),
-        n_samples=_int(d["n_samples"], "estimate 'n_samples'"),
-        params=dict(_object(d["params"], "estimate 'params'")),
-        std_error=_denum(d["std_error"]),
-    )
-
-
 def classification_to_dict(c: ComponentClassification) -> dict:
     """Encode with 1-based component labels.
 
-    With no witness the list is empty and cannot show the matrix's row
-    count m, so the dict states it as ``rows``; nonempty witnesses carry m
-    as their length.
+    Each witness has the matrix's row count m as its length; with no
+    witness the dict states m as ``rows`` instead.
     """
     d = dataclasses.asdict(c)
     d["present"] = [j + 1 for j in c.present]
@@ -356,47 +310,11 @@ def classification_to_dict(c: ComponentClassification) -> dict:
     return _plain(d)
 
 
-def classification_from_dict(d: dict) -> ComponentClassification:
-    """Decode; empty witnesses get shape (0, rows), or (0, 0) for a dict
-    without ``rows``."""
-    required = ("present", "recoverable", "witnesses", "tolerance")
-    _keys(_object(d, "classification"), required, ("rows", "field"), "classification")
-    field = d.get("field", "real")
-    data = d["witnesses"]
-    if data:
-        witnesses = _data_to_array(data, field)
-    else:
-        rows = _int(d.get("rows", 0), "classification 'rows'")
-        witnesses = np.zeros((0, rows), dtype=dtype_of(field))
-    return ComponentClassification(
-        present=_indices(d["present"], "classification 'present'"),
-        recoverable=_indices(d["recoverable"], "classification 'recoverable'"),
-        witnesses=witnesses,
-        tolerance=_denum(d["tolerance"]),
-    )
-
-
 def canonical_to_dict(dec: CanonicalDecomposition) -> dict:
     """Encode with a 1-based column permutation."""
     d = dataclasses.asdict(dec)
     d["permutation"] = [j + 1 for j in dec.permutation]
     return _plain(d)
-
-
-def canonical_from_dict(d: dict) -> CanonicalDecomposition:
-    _keys(_object(d, "canonical"), ("B", "permutation", "r", "tail", "field"), (), "canonical")
-    field = d["field"]
-    B = _data_to_array(d["B"], field)
-    permutation = _indices(d["permutation"], "canonical 'permutation'")
-    if max(permutation, default=-1) >= len(permutation):
-        raise ValueError(f"canonical 'permutation' must hold 1..{len(permutation)} once each")
-    r = _int(d["r"], "canonical 'r'")
-    if d["tail"]:
-        tail = _data_to_array(d["tail"], field)
-    else:
-        # The tail is (m - r) x (n - r); empty, one of the two is 0.
-        tail = np.zeros((B.shape[0] - r, len(permutation) - r), dtype=B.dtype)
-    return CanonicalDecomposition(B=B, permutation=permutation, r=r, tail=tail, field=field)
 
 
 def settings_to_dict(s: EstimatorSettings) -> dict:
@@ -459,35 +377,6 @@ def epi_report_to_dict(report: EpiReport) -> dict:
     return _plain(d)
 
 
-def epi_report_from_dict(d: dict) -> EpiReport:
-    keys = tuple(f.name for f in dataclasses.fields(EpiReport))
-    _keys(_object(d, "epi report"), keys, (), "epi report")
-    return EpiReport(
-        lhs=None if d["lhs"] is None else estimate_from_dict(d["lhs"]),
-        rhs=None if d["rhs"] is None else _denum(d["rhs"]),
-        gap=None if d["gap"] is None else _denum(d["gap"]),
-        gap_std_error=(
-            None if d["gap_std_error"] is None else _denum(d["gap_std_error"])
-        ),
-        per_trial_gaps=tuple(
-            _denum(g) for g in _list(d["per_trial_gaps"], "epi report 'per_trial_gaps'")
-        ),
-        tolerance=None if d["tolerance"] is None else _denum(d["tolerance"]),
-        verdict=_choice(
-            d["verdict"], ("strict", "near_equality", "violation_flag"), "epi report 'verdict'"
-        ),
-        classification=(
-            None
-            if d["classification"] is None
-            else classification_from_dict(d["classification"])
-        ),
-        trivial=_bool(d["trivial"], "epi report 'trivial'"),
-        n_samples=_int(d["n_samples"], "epi report 'n_samples'"),
-        trials=_int(d["trials"], "epi report 'trials'"),
-        seed=_int(d["seed"], "epi report 'seed'"),
-    )
-
-
 def extraction_to_dict(result: ExtractionResult) -> dict:
     return _plain(
         {
@@ -502,52 +391,6 @@ def extraction_to_dict(result: ExtractionResult) -> dict:
             "restart_objectives": result.restart_objectives,
             "n_extracted": result.n_extracted,
         }
-    )
-
-
-def extraction_from_dict(d: dict) -> ExtractionResult:
-    keys = ("W", "contrast", "trace", "whitener", "seeds", "converged", "sweeps", "best_restart",
-            "restart_objectives", "n_extracted")
-    _keys(_object(d, "extraction"), keys, (), "extraction")
-    seeds = _list(d["seeds"], "extraction 'seeds'")
-    if len(seeds) != 1:
-        raise ValueError(f"extraction 'seeds' must hold exactly one seed, got {d['seeds']!r}")
-    W = matrix_from_dict(d["W"]).array
-    n_extracted = _int(d["n_extracted"], "extraction 'n_extracted'")
-    if n_extracted != W.shape[0]:
-        raise ValueError(
-            f"extraction 'n_extracted' must equal the rows of 'W' ({W.shape[0]}), got {n_extracted}"
-        )
-    objectives = tuple(
-        _denum(v) for v in _list(d["restart_objectives"], "extraction 'restart_objectives'")
-    )
-    if not objectives:
-        raise ValueError("extraction 'restart_objectives' must list at least one restart")
-    trace = tuple(
-        tuple(_denum(v) for v in _list(t, "extraction 'trace' entry"))
-        for t in _list(d["trace"], "extraction 'trace'")
-    )
-    if len(trace) != len(objectives):
-        raise ValueError(
-            f"extraction 'trace' must hold one entry per restart objective ({len(objectives)}), "
-            f"got {len(trace)}"
-        )
-    best_restart = _int(d["best_restart"], "extraction 'best_restart'")
-    if not 0 <= best_restart < len(objectives):
-        raise ValueError(
-            f"extraction 'best_restart' must be in [0, {len(objectives) - 1}], got {best_restart}"
-        )
-    return ExtractionResult(
-        demixer=W,
-        contrast_value=_denum(d["contrast"]),
-        converged=_bool(d["converged"], "extraction 'converged'"),
-        sweeps=_int(d["sweeps"], "extraction 'sweeps'"),
-        best_restart=best_restart,
-        restart_objectives=objectives,
-        trace=trace,
-        whitener=matrix_from_dict(d["whitener"]).array,
-        n_extracted=n_extracted,
-        seed=_int(seeds[0], "extraction 'seeds'"),
     )
 
 

@@ -14,12 +14,21 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def check_seed(seed) -> None:
+    """ValueError unless ``seed`` is an integer (not a bool) in [0, 2**64):
+    masking any other value to 64 bits would reuse another seed's streams."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def mix_seed(seed: int, stream: int) -> int:
     """Derive a 64-bit substream seed from ``seed`` and a stream index.
 
     Applies a splitmix64 finalizer to ``seed XOR (stream + 1) * golden``;
-    the +1 keeps stream 0 distinct from the raw seed.
+    the +1 keeps stream 0 distinct from the raw seed.  Every stream is
+    derived here, so every seed passes :func:`check_seed`.
     """
+    check_seed(seed)
     x = (int(seed) ^ (((int(stream) + 1) * _GOLDEN) & _MASK64)) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64

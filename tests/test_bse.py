@@ -695,3 +695,10 @@ def test_separation_quality_duplicate_argmax_fails():
 def test_separation_quality_zero_row_rejected():
     with pytest.raises(ValueError):
         separation_quality(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2))
+
+
+def test_separation_quality_names_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"^W has 2 columns, M has 3 rows$"):
+        separation_quality(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError, match=r"^W and M must be matrices"):
+        separation_quality(np.ones(2), np.eye(2))

@@ -291,6 +291,44 @@ def test_extract_field_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_extract_truth_mix_shape_mismatch_exit_four(tmp_path, capsys):
+    src = write_sources(tmp_path / "s.json", [unit_variance_uniform()] * 2)
+    main(["generate", "--sources", src, "--n", "1200", "--seed", "1", "--out", str(tmp_path / "y.csv")])
+    capsys.readouterr()
+    mix = write_matrix(tmp_path / "m.json", np.eye(3))
+    assert main([
+        "extract", "--input", str(tmp_path / "y.csv"), "--m", "1", "--restarts", "1",
+        "--truth-mix", mix,
+    ]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mixent: error: ValueError: W has 2 columns, M has 3 rows\n"
+
+
+@pytest.mark.parametrize("verb", ["generate", "extract"])
+def test_seed_out_of_range_exit_four(tmp_path, capsys, verb):
+    src = write_sources(tmp_path / "s.json", [unit_variance_uniform()] * 2)
+    main(["generate", "--sources", src, "--n", "1200", "--seed", "1", "--out", str(tmp_path / "y.csv")])
+    capsys.readouterr()
+    args = {
+        "generate": ["generate", "--sources", src, "--n", "10"],
+        "extract": ["extract", "--input", str(tmp_path / "y.csv"), "--m", "1"],
+    }[verb]
+    assert main(args + ["--seed", "-1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mixent: error: ValueError: seed must be an integer in [0, 2**64), got -1\n"
+
+
+def test_verify_epi_seed_out_of_range_exit_four(tmp_path, capsys):
+    # A rank-deficient matrix draws nothing, yet its report records the seed.
+    cfg = json.loads(Path(write_config(tmp_path / "c.json", matrix=np.ones((2, 2)), seed=1)).read_text())
+    cfg["seed"] = 2**64
+    fmt.write_json(tmp_path / "c.json", cfg)
+    assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
+    assert "seed must be an integer in [0, 2**64), got 18446744073709551616" in capsys.readouterr().err
+
+
 def test_extract_singular_covariance_exit_code(tmp_path, capsys):
     x = np.random.Generator(np.random.Philox(1)).standard_normal(1200)
     (tmp_path / "dup.csv").write_text(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from mixent import (
     run_epi_trial,
     sample_sources,
     separation_quality,
-    spacing_entropy,
     uniform,
     unit_variance_uniform,
 )
@@ -239,23 +239,12 @@ def test_samples_csv_header_only(tmp_path):
         fmt.read_samples_csv(path)
 
 
-def test_estimate_round_trip():
-    x = sample_sources([gaussian(1.0)], 2000, 2)[:, 0]
-    est = spacing_entropy(x)
-    back = fmt.estimate_from_dict(fmt.estimate_to_dict(est))
-    assert back == est
-
-
 def test_classification_dict_uses_one_based_indices():
     cls = classify_components(np.array([[1.0, 0.0, 0.0], [0.0, 2**-0.5, 2**-0.5]]))
     d = fmt.classification_to_dict(cls)
     assert d["present"] == [1, 2, 3]
     assert d["recoverable"] == [1]
     assert d["witnesses"] == [[1.0, 0.0]]
-    back = fmt.classification_from_dict(d)
-    assert back.present == cls.present
-    assert back.recoverable == cls.recoverable
-    assert np.array_equal(back.witnesses, cls.witnesses)
 
 
 def test_empty_witnesses_keep_the_row_count():
@@ -263,9 +252,6 @@ def test_empty_witnesses_keep_the_row_count():
     assert cls.recoverable == () and cls.witnesses.shape == (0, 1)
     d = fmt.classification_to_dict(cls)
     assert d["rows"] == 1
-    assert fmt.classification_from_dict(d).witnesses.shape == (0, 1)
-    del d["rows"]
-    assert fmt.classification_from_dict(d).witnesses.shape == (0, 0)
 
 
 def test_canonical_dict_uses_one_based_permutation():
@@ -320,13 +306,10 @@ def test_config_validation():
 
 def test_epi_report_serialization_is_lossless():
     rep = run_epi_trial(small_config())
-    d = fmt.epi_report_to_dict(rep)
-    text = fmt.canonical_json(d)
-    back = fmt.epi_report_from_dict(json.loads(text))
-    assert fmt.canonical_json(fmt.epi_report_to_dict(back)) == text
-    assert back.gap == rep.gap
-    assert back.verdict == rep.verdict
-    assert back.lhs.value == rep.lhs.value
+    parsed = json.loads(fmt.canonical_json(fmt.epi_report_to_dict(rep)))
+    assert parsed["gap"] == rep.gap
+    assert parsed["verdict"] == rep.verdict
+    assert parsed["lhs"]["value"] == rep.lhs.value
 
 
 def test_trivial_report_round_trips_minus_infinity():
@@ -335,10 +318,9 @@ def test_trivial_report_round_trips_minus_infinity():
     parsed = json.loads(fmt.canonical_json(d))
     assert parsed["rhs"] == "-inf"
     assert parsed["trivial"] is True
-    back = fmt.epi_report_from_dict(parsed)
-    assert back.rhs == float("-inf")
-    assert back.lhs is None
-    assert back.gap is None
+    assert rep.rhs == float("-inf")
+    assert parsed["lhs"] is None and rep.lhs is None
+    assert parsed["gap"] is None and rep.gap is None
 
 
 def test_extraction_dict_shape():
@@ -557,114 +539,6 @@ def test_encoder_golden_bytes(name):
     assert fmt.canonical_json(encode()) == expected
 
 
-@pytest.mark.parametrize("golden, decode, key, value, message", [
-    ("estimate", fmt.estimate_from_dict, "n_samples", 3000.5, "estimate 'n_samples' must be an integer, got 3000.5"),
-    ("classification_complex", fmt.classification_from_dict, "present", ["1", 2],
-     "classification 'present' must be an integer, got '1'"),
-    ("canonical", fmt.canonical_from_dict, "permutation", [3, 1, 2.5],
-     "canonical 'permutation' must be an integer, got 2.5"),
-    ("epi_report_trivial", fmt.epi_report_from_dict, "trivial", "false",
-     "epi report 'trivial' must be true or false, got 'false'"),
-    ("extraction_non_finite", fmt.extraction_from_dict, "converged", "false",
-     "extraction 'converged' must be true or false, got 'false'"),
-    ("extraction_non_finite", fmt.extraction_from_dict, "sweeps", 2.9,
-     "extraction 'sweeps' must be an integer, got 2.9"),
-], ids=["estimate", "classification", "canonical", "epi_report", "extraction_converged", "extraction_sweeps"])
-def test_report_decoders_reject_bad_values(golden, decode, key, value, message):
-    d = GOLDEN[golden][0]()
-    decode(d)
-    d[key] = value
-    with pytest.raises(ValueError) as err:
-        decode(d)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("golden, decode, key, value, message", [
-    ("classification_complex", fmt.classification_from_dict, "present", [0, 2],
-     "classification 'present' must list distinct integers of at least 1, got [0, 2]"),
-    ("classification_complex", fmt.classification_from_dict, "recoverable", [2, 2],
-     "classification 'recoverable' must list distinct integers of at least 1, got [2, 2]"),
-    ("canonical", fmt.canonical_from_dict, "permutation", [0, 1, 2],
-     "canonical 'permutation' must list distinct integers of at least 1, got [0, 1, 2]"),
-    ("canonical", fmt.canonical_from_dict, "permutation", [1, 1, 2],
-     "canonical 'permutation' must list distinct integers of at least 1, got [1, 1, 2]"),
-    ("canonical", fmt.canonical_from_dict, "permutation", [1, 2, 4],
-     "canonical 'permutation' must hold 1..3 once each"),
-], ids=["present_zero", "recoverable_repeat", "permutation_zero", "permutation_repeat", "permutation_gap"])
-def test_one_based_index_lists_checked(golden, decode, key, value, message):
-    d = GOLDEN[golden][0]()
-    d[key] = value
-    with pytest.raises(ValueError) as err:
-        decode(d)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("golden, decode, key, value, message", [
-    ("estimate", fmt.estimate_from_dict, "value", None, "missing estimate keys: ['value']"),
-    ("estimate", fmt.estimate_from_dict, "method", "bogus",
-     "estimate 'method' must be one of ['spacing', 'knn', 'closed_form'], got 'bogus'"),
-    ("estimate", fmt.estimate_from_dict, "params", [["k", 4]],
-     "estimate 'params' must be a JSON object, got [['k', 4]]"),
-    ("estimate", fmt.estimate_from_dict, "extra", 1, "unknown estimate keys: ['extra']"),
-    ("classification_complex", fmt.classification_from_dict, "extra", 1,
-     "unknown classification keys: ['extra']"),
-    ("canonical", fmt.canonical_from_dict, "r", None, "missing canonical keys: ['r']"),
-    ("epi_report_trivial", fmt.epi_report_from_dict, "verdict", "whatever",
-     "epi report 'verdict' must be one of ['strict', 'near_equality', 'violation_flag'], got 'whatever'"),
-    ("epi_report_trivial", fmt.epi_report_from_dict, "seed", None, "missing epi report keys: ['seed']"),
-    ("extraction_non_finite", fmt.extraction_from_dict, "seeds", [],
-     "extraction 'seeds' must hold exactly one seed, got []"),
-    ("extraction_non_finite", fmt.extraction_from_dict, "extra", 1, "unknown extraction keys: ['extra']"),
-], ids=[
-    "estimate_missing", "estimate_method", "estimate_params", "estimate_unknown", "classification_unknown",
-    "canonical_missing", "epi_verdict", "epi_missing", "extraction_seeds", "extraction_unknown",
-])
-def test_report_decoders_raise_value_error(golden, decode, key, value, message):
-    # A value of None stands for a missing key.
-    d = GOLDEN[golden][0]()
-    if value is None:
-        del d[key]
-    else:
-        d[key] = value
-    with pytest.raises(ValueError) as err:
-        decode(d)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("golden, decode, key, value, message", [
-    ("extraction_non_finite", fmt.extraction_from_dict, "trace", 5, "extraction 'trace' must be a list, got 5"),
-    ("extraction_non_finite", fmt.extraction_from_dict, "trace", [[0.5], 1.0, [2.0]],
-     "extraction 'trace' entry must be a list, got 1.0"),
-    ("extraction_non_finite", fmt.extraction_from_dict, "restart_objectives", "inf",
-     "extraction 'restart_objectives' must be a list, got 'inf'"),
-    ("epi_report_trivial", fmt.epi_report_from_dict, "per_trial_gaps", 0.5,
-     "epi report 'per_trial_gaps' must be a list, got 0.5"),
-], ids=["trace", "trace_entry", "restart_objectives", "per_trial_gaps"])
-def test_report_lists_must_be_lists(golden, decode, key, value, message):
-    d = GOLDEN[golden][0]()
-    d[key] = value
-    with pytest.raises(ValueError) as err:
-        decode(d)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("changes, message", [
-    ({"n_extracted": 2}, "extraction 'n_extracted' must equal the rows of 'W' (1), got 2"),
-    ({"restart_objectives": [], "trace": []}, "extraction 'restart_objectives' must list at least one restart"),
-    ({"trace": [[0.5]]}, "extraction 'trace' must hold one entry per restart objective (3), got 1"),
-    ({"best_restart": 7}, "extraction 'best_restart' must be in [0, 2], got 7"),
-    ({"best_restart": -1}, "extraction 'best_restart' must be in [0, 2], got -1"),
-], ids=["n_extracted", "no_restarts", "trace_length", "best_restart_high", "best_restart_negative"])
-def test_extraction_fields_must_agree(changes, message):
-    # The restart stage may stop early, so the lengths vary between reports
-    # and the decoder checks them against each other.
-    d = GOLDEN["extraction_non_finite"][0]()
-    fmt.extraction_from_dict(d)
-    with pytest.raises(ValueError) as err:
-        fmt.extraction_from_dict({**d, **changes})
-    assert str(err.value) == message
-
-
 @pytest.mark.parametrize("decode, good, key", [
     (fmt.matrix_from_dict, {"rows": 1, "cols": 2, "field": "real", "data": [[1.0, 2.0]]}, "colums"),
     (fmt.model_from_dict, {"family": "gaussian", "params": {"sigma": 1.0}}, "feild"),
@@ -677,21 +551,22 @@ def test_readers_reject_unknown_keys(decode, good, key):
     assert str(err.value).endswith(f" keys: [{key!r}]")
 
 
-
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None)
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
-REPORT_CODECS = {
-    "classification": (fmt.classification_to_dict, fmt.classification_from_dict),
-    "canonical": (fmt.canonical_to_dict, fmt.canonical_from_dict),
-    "epi": (fmt.epi_report_to_dict, fmt.epi_report_from_dict),
-    "extraction": (fmt.extraction_to_dict, fmt.extraction_from_dict),
-    "estimate": (fmt.estimate_to_dict, fmt.estimate_from_dict),
+REPORT_ENCODERS = {
+    "classification": fmt.classification_to_dict,
+    "canonical": fmt.canonical_to_dict,
+    "epi": fmt.epi_report_to_dict,
+    "extraction": fmt.extraction_to_dict,
+    "estimate": fmt.estimate_to_dict,
 }
+# The one report field whose JSON key is not its name.
+JSON_KEY = {"contrast_value": "contrast"}
 
 
 @st.composite
 def reports(draw):
-    """A report of each type in REPORT_CODECS (a canonical form only when no
+    """A report of each type in REPORT_ENCODERS (a canonical form only when no
     column is zero), built around a full-row-rank matrix of at most 3 x 4
     scaled {-1, 0, 1} entries, real or complex."""
     m = draw(st.integers(1, 3))
@@ -731,21 +606,30 @@ def reports(draw):
     return batch
 
 
-def array_shapes(obj):
-    """The shape and dtype of every array in a report, nested ones included."""
-    if dataclasses.is_dataclass(obj):
-        return {f.name: array_shapes(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return obj.shape, obj.dtype
-    return None
+def json_number(x: float) -> float | str:
+    """A float as canonical JSON parses it back: the number, or its string
+    when it is not finite."""
+    if math.isnan(x):
+        return "nan"
+    return x if math.isfinite(x) else ("inf" if x > 0 else "-inf")
+
+
+def assert_floats_parse_back(report, parsed: dict, name: str) -> None:
+    """Every scalar float field of ``report``, nested reports included,
+    reads back ``==`` from the parsed JSON."""
+    for f in dataclasses.fields(report):
+        value, key = getattr(report, f.name), JSON_KEY.get(f.name, f.name)
+        if dataclasses.is_dataclass(value):
+            assert_floats_parse_back(value, parsed[key], name)
+        elif isinstance(value, float):
+            assert parsed[key] == json_number(value), (name, f.name)
 
 
 @PROPERTY_SETTINGS
 @given(batch=reports())
 def test_every_report_survives_a_json_round_trip(batch):
     for name, report in batch.items():
-        encode, decode = REPORT_CODECS[name]
-        text = fmt.canonical_json(encode(report))
-        back = decode(json.loads(text))
-        assert fmt.canonical_json(encode(back)) == text, name
-        assert array_shapes(back) == array_shapes(report), name
+        text = fmt.canonical_json(REPORT_ENCODERS[name](report))
+        parsed = json.loads(text)
+        assert fmt.canonical_json(parsed) == text, name
+        assert_floats_parse_back(report, parsed, name)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixent.rng import generator, haar_rows
+from mixent.rng import generator, haar_rows, mix_seed
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
@@ -75,3 +75,34 @@ def test_normal_draw_golden_digest():
     v = mixent.expectation_inequality_check(Q, targets, 400, 6)
     h.update(np.float64(v).tobytes())
     assert h.hexdigest() == "a04747c0e0b42848c4f1e5252942a84d07a93c2493ce519f7500a5083471a9be"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.int64(-1), "7"])
+def test_seeds_outside_the_64_bit_range_raise(seed):
+    # Masking to 64 bits would give -1 the stream of 2**64 - 1, 2**64 that of
+    # 0, and 1.5 that of 1.
+    with pytest.raises(ValueError, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+        mix_seed(seed, 0)
+    with pytest.raises(ValueError):
+        generator(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(7)])
+def test_every_64_bit_seed_is_accepted(seed):
+    assert mix_seed(seed, 3) == mix_seed(int(seed), 3)
+
+
+def test_api_seeds_are_checked():
+    from mixent import EpiExperimentConfig, MixingMatrix, gaussian, minimize_contrast, sample_sources
+    from mixent.bse import Observation
+
+    with pytest.raises(ValueError, match="seed must be"):
+        sample_sources([gaussian(1.0)], 10, -1)
+    obs = Observation.from_samples(sample_sources([gaussian(1.0)] * 2, 1000, 0))
+    with pytest.raises(ValueError, match="seed must be"):
+        minimize_contrast(obs, 1, seed=1.5, restarts=1)
+    with pytest.raises(ValueError, match="seed must be"):
+        EpiExperimentConfig(
+            matrix=MixingMatrix.from_array(np.ones((2, 2))), sources=(gaussian(1.0),) * 2,
+            n_samples=1000, seed=True,
+        )
