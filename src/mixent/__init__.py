@@ -65,7 +65,6 @@ from .distributions import (
 )
 from .entropy import (
     EntropyEstimate,
-    EstimatorSettings,
     GaussianSurrogate,
     gaussian_mix_entropy,
     knn_entropy,

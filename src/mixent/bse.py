@@ -21,7 +21,7 @@ import numpy as np
 from . import distributions as dist
 from .complex_embedding import dtype_of, field_of, real_dims
 from .entropy import (
-    EstimatorSettings,
+    KNN_K,
     SpacingWorkspace,
     _block_std_error,
     _knn_value,
@@ -160,7 +160,7 @@ def _row_scorer(field: str, n: int):
         window = default_spacing_window(n)
         work = SpacingWorkspace(n, window)
         return lambda z: spacing_entropy_value(z, window, work)
-    return lambda z: _knn_value(z.view(np.float64).reshape(-1, 2), EstimatorSettings.knn_k)
+    return lambda z: _knn_value(z.view(np.float64).reshape(-1, 2), KNN_K)
 
 
 def _marginal_entropy_value(z: np.ndarray, field: str) -> float:
@@ -535,7 +535,7 @@ def oracle_decompose(W, mixing, sources, n_samples: int, seed: int) -> ContrastD
     A = Warr @ M
     log_volume = _log_volume(Warr, Y, field)
 
-    estimates = [estimate_entropy(Z[:, [i]], field, EstimatorSettings()) for i in range(m)]
+    estimates = [estimate_entropy(Z[:, [i]], field) for i in range(m)]
     hsum = sum(e.value for e in estimates)
     d = real_dims(field)
 

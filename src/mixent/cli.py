@@ -35,7 +35,7 @@ from pathlib import Path
 from . import formats
 from .bse import Observation, minimize_contrast, separation_quality
 from .distributions import check_sources, sample_sources
-from .entropy import knn_entropy, spacing_entropy, spacings_apply
+from .entropy import KNN_K, knn_entropy, spacing_entropy, spacings_apply
 from .epi_lab import run_epi_trial
 from .errors import MixentError, UsageError
 from .matrix_analysis import canonical_form, classify_components, rank_of
@@ -178,7 +178,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--input", required=True, help="samples CSV file")
     p.add_argument("--method", choices=("spacing", "knn"), required=True)
-    p.add_argument("--k", type=_positive_int, default=4, help="neighbor count for knn")
+    p.add_argument("--k", type=_positive_int, default=KNN_K, help="neighbor count for knn")
     p.add_argument(
         "--m-spacing", type=_positive_int, default=None, help="window size for spacing"
     )

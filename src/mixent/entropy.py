@@ -30,7 +30,6 @@ from .matrix_analysis import as_array, rank_of
 from .rng import generator
 
 __all__ = [
-    "EstimatorSettings",
     "EntropyEstimate",
     "GaussianSurrogate",
     "SpacingWorkspace",
@@ -44,31 +43,8 @@ __all__ = [
 ]
 
 _SHUFFLE_SEED = 0x5EB10C5
-
-
-@dataclass(frozen=True)
-class EstimatorSettings:
-    """Estimator choices of the experiment harness; extraction always runs
-    the defaults.
-
-    ``tolerance_multiplier`` scales the gap standard error into the
-    violation tolerance; it must be finite and at least 0.  ``knn_k`` must
-    be at least 1.  :func:`spacing_entropy` checks ``spacing_m``.
-    """
-
-    knn_k: int = 4
-    spacing_m: int | None = None
-    tolerance_multiplier: float = 3.0
-
-    def __post_init__(self):
-        tol = float(self.tolerance_multiplier)
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError(
-                f"estimator 'tolerance_multiplier' must be finite and at least 0, got {tol}"
-            )
-        if self.knn_k < 1:
-            raise ValueError(f"estimator 'knn_k' must be at least 1, got {self.knn_k}")
-        object.__setattr__(self, "tolerance_multiplier", tol)
+# The neighbor order of every kNN estimate the package makes by default.
+KNN_K = 4
 
 
 @dataclass(frozen=True)
@@ -171,6 +147,12 @@ def _require_finite(arr: np.ndarray) -> None:
         raise DegenerateData(f"samples contain {bad} non-finite values (NaN or inf)")
 
 
+def _check_int(v, name: str) -> None:
+    """ValueError unless ``v`` is an integer (Python or numpy, not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def default_spacing_window(n: int) -> int:
     """Default window: round(sqrt(n)), clipped to a valid range."""
     return int(min(max(round(math.sqrt(n)), 1), n // 2))
@@ -198,7 +180,7 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     samples:
         1-D real sample array, at least 10 points.
     m:
-        Window size; defaults to round(sqrt(n)).  ValueError unless 1 <= m <= n // 2.
+        Integer window; defaults to round(sqrt(n)).  ValueError unless 1 <= m <= n // 2.
 
     Returns
     -------
@@ -211,6 +193,8 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     DegenerateData
         All samples equal, or some not finite.
     """
+    if m is not None:
+        _check_int(m, "m")
     x = _real_array(samples, "samples")
     if x.ndim != 1:
         raise ValueError("spacing estimator requires a 1-D real sample")
@@ -245,7 +229,7 @@ def _knn_value(pts: np.ndarray, k: int) -> float:
     return float(digamma(n) - digamma(k) + log_vd + d * np.mean(np.log(eps)))
 
 
-def knn_entropy(samples, k: int = 4) -> EntropyEstimate:
+def knn_entropy(samples, k: int = KNN_K) -> EntropyEstimate:
     """Estimate joint entropy by k-nearest-neighbor distances.
 
     Complex input of shape (N, d) is embedded as real data of shape
@@ -258,7 +242,7 @@ def knn_entropy(samples, k: int = 4) -> EntropyEstimate:
     samples:
         Array of shape (N,) or (N, d), real or complex; N at least 50.
     k:
-        Neighbor order, default 4; must satisfy 1 <= k < N.
+        Integer neighbor order, default ``KNN_K``; must satisfy 1 <= k < N.
 
     Raises
     ------
@@ -266,6 +250,7 @@ def knn_entropy(samples, k: int = 4) -> EntropyEstimate:
     DegenerateData
         Some samples are not finite.
     """
+    _check_int(k, "k")
     arr = np.asarray(samples)
     arr = embed_samples(arr) if np.iscomplexobj(arr) else np.asarray(arr, dtype=np.float64)
     if arr.ndim == 1:
@@ -288,13 +273,13 @@ def spacings_apply(field: str, columns: int) -> bool:
     return real_dims(field) * columns == 1
 
 
-def estimate_entropy(Y: np.ndarray, field: str, settings: EstimatorSettings) -> EntropyEstimate:
-    """Joint entropy of the (N, d) sample ``Y`` over ``field``: spacings for
-    one real column, k-nearest neighbors otherwise (complex data through the
-    real embedding)."""
+def estimate_entropy(Y: np.ndarray, field: str) -> EntropyEstimate:
+    """Joint entropy of the (N, d) sample ``Y`` over ``field``: spacings with
+    the default window for one real column, k-nearest neighbors with
+    ``k = KNN_K`` otherwise (complex data through the real embedding)."""
     if spacings_apply(field, Y.shape[1]):
-        return spacing_entropy(Y[:, 0], m=settings.spacing_m)
-    return knn_entropy(Y, k=settings.knn_k)
+        return spacing_entropy(Y[:, 0])
+    return knn_entropy(Y)
 
 
 def surrogate_sigma(entropy_nats: float, field: str = "real") -> GaussianSurrogate:

@@ -17,7 +17,7 @@ inequality underlying the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from . import distributions as dist
 from .complex_embedding import _real_array, hat_embed
 from .entropy import (
     EntropyEstimate,
-    EstimatorSettings,
     estimate_entropy,
     gaussian_mix_entropy,
     surrogate_sigma,
@@ -60,6 +59,9 @@ __all__ = [
 _LEMMA_SHAPES = tuple((m, n) for n in range(3, 7) for m in range(2, n))
 _LEMMA_SCALES = (0.1, 10.0)
 
+# Verdict tolerance in gap standard errors: a normal error falls below -3 SE 0.13% of the time.
+_TOLERANCE_SE = 3.0
+
 
 @dataclass(frozen=True)
 class EpiExperimentConfig:
@@ -75,7 +77,6 @@ class EpiExperimentConfig:
     n_samples: int
     seed: int
     trials: int = 1
-    estimator: EstimatorSettings = dc_field(default_factory=EstimatorSettings)
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -128,7 +129,7 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
     entropy of the full Gaussian mixture and ``lhs`` is ``rhs + gap``.
     When every component is recoverable (r = m) the gap is exactly 0 and
     nothing is sampled.  The verdict flags a violation only when the gap
-    falls below minus ``tolerance_multiplier`` standard errors.
+    falls below minus 3 standard errors (``_TOLERANCE_SE``).
     """
     A = config.matrix
     m = A.rows
@@ -158,7 +159,6 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
     present = list(classification.present)
     canon = canonical_form(A.array[:, present], tol=classification.tolerance)
 
-    est = config.estimator
     if canon.r == m:
         gap, se, per_trial_gaps = 0.0, 0.0, (0.0,) * config.trials
         method, params = "closed_form", {}
@@ -172,7 +172,7 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
             X = dist.sample_sources(
                 config.sources, config.n_samples, config.seed, trial=t, columns=rest
             )
-            e = estimate_entropy(X @ T.T, A.field, est)
+            e = estimate_entropy(X @ T.T, A.field)
             values.append(e.value)
             errors.append(e.std_error)
             method, params = e.method, e.params
@@ -188,7 +188,7 @@ def run_epi_trial(config: EpiExperimentConfig) -> EpiReport:
         params=params,
         std_error=se,
     )
-    tolerance = est.tolerance_multiplier * se
+    tolerance = _TOLERANCE_SE * se
     if gap < -tolerance:
         verdict = "violation_flag"
     elif gap <= tolerance:

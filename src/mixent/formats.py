@@ -22,7 +22,7 @@ import numpy as np
 from . import distributions as dist
 from .bse import ContrastDecomposition, ExtractionResult, SeparationQuality
 from .complex_embedding import dtype_of, embed_samples, field_of, real_dims
-from .entropy import EntropyEstimate, EstimatorSettings
+from .entropy import EntropyEstimate
 from .epi_lab import EpiExperimentConfig, EpiReport
 from .errors import DegenerateData
 from .matrix_analysis import (
@@ -46,8 +46,6 @@ __all__ = [
     "estimate_to_dict",
     "classification_to_dict",
     "canonical_to_dict",
-    "settings_to_dict",
-    "settings_from_dict",
     "config_to_dict",
     "config_from_dict",
     "epi_report_to_dict",
@@ -317,22 +315,6 @@ def canonical_to_dict(dec: CanonicalDecomposition) -> dict:
     return _plain(d)
 
 
-def settings_to_dict(s: EstimatorSettings) -> dict:
-    return _plain(dataclasses.asdict(s))
-
-
-def settings_from_dict(d: dict) -> EstimatorSettings:
-    _keys(d, (), ("knn_k", "spacing_m", "tolerance_multiplier"), "estimator")
-    kwargs = dict(d)
-    # Only the window may be null: it then defaults to the sample size's.
-    for key in ("knn_k", "spacing_m"):
-        if key in kwargs and (key != "spacing_m" or kwargs[key] is not None):
-            kwargs[key] = _int(kwargs[key], f"estimator {key!r}")
-    if "tolerance_multiplier" in kwargs:
-        kwargs["tolerance_multiplier"] = _denum(kwargs["tolerance_multiplier"])
-    return EstimatorSettings(**kwargs)
-
-
 def config_to_dict(config: EpiExperimentConfig) -> dict:
     return {
         "matrix": matrix_to_dict(config.matrix),
@@ -340,7 +322,6 @@ def config_to_dict(config: EpiExperimentConfig) -> dict:
         "n_samples": config.n_samples,
         "seed": config.seed,
         "trials": config.trials,
-        "estimator": settings_to_dict(config.estimator),
     }
 
 
@@ -348,7 +329,7 @@ def config_from_dict(d: dict, base_dir=None) -> EpiExperimentConfig:
     """Build an experiment config; ``matrix_path`` is resolved against
     ``base_dir`` (usually the config file's directory)."""
     required = ("sources", "n_samples", "seed")
-    _keys(_object(d, "config"), required, ("matrix", "matrix_path", "trials", "estimator"), "config")
+    _keys(_object(d, "config"), required, ("matrix", "matrix_path", "trials"), "config")
     if ("matrix" in d) == ("matrix_path" in d):
         raise ValueError("config needs exactly one of 'matrix' or 'matrix_path'")
     if "matrix" in d:
@@ -366,7 +347,6 @@ def config_from_dict(d: dict, base_dir=None) -> EpiExperimentConfig:
         n_samples=_int(d["n_samples"], "config 'n_samples'"),
         seed=_int(d["seed"], "config 'seed'"),
         trials=_int(d.get("trials", 1), "config 'trials'"),
-        estimator=settings_from_dict(_object(d.get("estimator", {}), "config 'estimator'")),
     )
 
 

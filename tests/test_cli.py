@@ -16,7 +16,6 @@ import mixent.cli
 from mixent import errors
 from mixent import (
     EpiExperimentConfig,
-    EstimatorSettings,
     MixingMatrix,
     circular_gaussian,
     gaussian,
@@ -175,15 +174,11 @@ def test_verify_epi_equality_run(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
-def test_verify_epi_violation_exit_code(tmp_path):
+def test_verify_epi_violation_exit_code(tmp_path, monkeypatch):
     # An equality case whose one-row tail is estimated (the identity is an
     # exact equality); on this draw the estimate falls below the closed form.
-    cfg = write_config(
-        tmp_path / "c.json",
-        matrix=np.full((1, 2), 2**-0.5),
-        seed=4,
-        estimator=EstimatorSettings(tolerance_multiplier=0.0),
-    )
+    monkeypatch.setattr(mixent.epi_lab, "_TOLERANCE_SE", 0.0)
+    cfg = write_config(tmp_path / "c.json", matrix=np.full((1, 2), 2**-0.5), seed=4)
     out = tmp_path / "report.json"
     assert main(["verify-epi", "--config", cfg, "--out", str(out)]) == 1
     report = json.loads(out.read_text())
@@ -448,36 +443,22 @@ def test_verify_epi_fractional_n_samples_exit_four(tmp_path, capsys):
     assert "config 'n_samples' must be an integer, got 2000.9" in capsys.readouterr().err
 
 
-def test_verify_epi_string_knn_k_exit_four(tmp_path, capsys):
+def test_verify_epi_estimator_key_exit_four(tmp_path, capsys):
+    # The experiment runs the one default estimator: an old config that still
+    # carries estimator settings is refused, not run with other settings.
     cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))
-    cfg["estimator"]["knn_k"] = "a"
-    fmt.write_json(tmp_path / "c.json", cfg)
-    assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
-    assert "estimator 'knn_k' must be an integer, got 'a'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "key, value, message",
-    [
-        ("tolerance_multiplier", -3, "estimator 'tolerance_multiplier' must be finite and at least 0, got -3.0"),
-        ("tolerance_multiplier", "nan", "estimator 'tolerance_multiplier' must be finite and at least 0, got nan"),
-        ("knn_k", 0, "estimator 'knn_k' must be at least 1, got 0"),
-        ("knn_k", None, "estimator 'knn_k' must be an integer, got None"),
-        ("jitter_seed", None, "unknown estimator keys: ['jitter_seed']"),
-        ("knn_k", 4.5, "estimator 'knn_k' must be an integer, got 4.5"),
-        ("spacing_m", True, "estimator 'spacing_m' must be an integer, got True"),
-    ],
-    ids=["negative_multiplier", "nan_multiplier", "zero_k", "null_k", "null_jitter_seed",
-         "fractional_k", "bool_spacing_m"],
-)
-def test_verify_epi_bad_estimator_value_exit_four(tmp_path, capsys, key, value, message):
-    cfg = fmt.read_json(write_config(tmp_path / "c.json", seed=1))
-    cfg["estimator"][key] = value
+    cfg["estimator"] = {"knn_k": 4, "spacing_m": None, "tolerance_multiplier": 3.0}
     fmt.write_json(tmp_path / "c.json", cfg)
     assert main(["verify-epi", "--config", str(tmp_path / "c.json")]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert captured.err == "mixent: error: ValueError: unknown config keys: ['estimator']\n"
+
+
+def test_entropy_empty_file_exit_four(tmp_path, capsys):
+    (tmp_path / "empty.csv").write_text("")
+    assert main(["entropy", "--input", str(tmp_path / "empty.csv"), "--method", "knn"]) == 4
+    assert capsys.readouterr().err == "mixent: error: ValueError: empty samples file\n"
 
 
 def test_entropy_non_finite_sample_names_line_and_column(tmp_path, capsys):

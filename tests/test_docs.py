@@ -1,6 +1,7 @@
 """The README's instructions work as written: its Python quick start runs and
-gives the values its comments state, and the ``test`` extra it installs
-names every package the test modules import."""
+gives the values its comments state, the ``test`` extra it installs names
+every package the test modules import, and its domain exit codes are the
+ones the error classes carry."""
 
 import ast
 import re
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mixent import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +44,17 @@ def test_test_extra_names_every_test_import():
                 imported.add(node.module.partition(".")[0])
     provided = set(sys.stdlib_module_names) | {"mixent", "numpy", "scipy"}
     assert sorted(imported - provided - named) == []
+
+
+def test_readme_domain_exit_codes_match_error_classes():
+    readme = (ROOT / "README.md").read_text()
+    line = readme.split("\nDomain codes: ", 1)[1].split("\n\n", 1)[0]
+    documented = {name: int(code) for code, name in re.findall(r"\b(\d+) (\w+)", line)}
+    # UsageError carries 2, the usage code of the table above the line.
+    carried = {
+        c.__name__: c.exit_code
+        for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.MixentError)
+        and c not in (errors.MixentError, errors.UsageError)
+    }
+    assert documented == carried

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from mixent import (
     uniform,
 )
 from mixent.entropy import (
-    EstimatorSettings,
     SpacingWorkspace,
     _knn_value,
     default_spacing_window,
@@ -102,6 +102,31 @@ def test_spacing_errors():
         spacing_entropy(x, m=60)
     with pytest.raises(ValueError):
         spacing_entropy(x, m=0)
+
+
+NOT_INTEGERS = pytest.mark.parametrize(
+    "value", [2.5, 4.0, np.float64(4.0), True, np.bool_(True), "4"],
+    ids=["fraction", "integral_float", "numpy_float", "bool", "numpy_bool", "str"],
+)
+
+
+@NOT_INTEGERS
+def test_spacing_window_must_be_an_integer(value):
+    x = sample(gaussian(1.0), 400, 1)
+    with pytest.raises(ValueError, match=rf"^m must be an integer, got {re.escape(repr(value))}$"):
+        spacing_entropy(x, m=value)
+    assert spacing_entropy(x, m=np.int64(20)) == spacing_entropy(x, m=20)
+
+
+@NOT_INTEGERS
+def test_knn_order_must_be_an_integer(value):
+    # Checked before the sample size, so a short sample names k too.
+    gen = np.random.Generator(np.random.Philox(22))
+    for n in (100, 10):
+        with pytest.raises(ValueError, match=rf"^k must be an integer, got {re.escape(repr(value))}$"):
+            knn_entropy(gen.standard_normal((n, 2)), k=value)
+    pts = gen.standard_normal((100, 2))
+    assert knn_entropy(pts, k=np.int64(4)) == knn_entropy(pts)
 
 
 def test_spacing_rejects_non_finite():
@@ -215,8 +240,8 @@ def test_spacings_apply_to_one_real_column_only():
     with pytest.raises(ValueError, match="field must be"):
         spacings_apply("quaternion", 1)
     x = sample(gaussian(1.0), 2000, 4)
-    assert estimate_entropy(x[:, None], "real", EstimatorSettings()).method == "spacing"
-    assert estimate_entropy(np.column_stack((x, x[::-1])), "real", EstimatorSettings()).method == "knn"
+    assert estimate_entropy(x[:, None], "real").method == "spacing"
+    assert estimate_entropy(np.column_stack((x, x[::-1])), "real").method == "knn"
 
 
 def test_knn_two_dimensional_normal():

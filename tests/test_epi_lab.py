@@ -6,7 +6,6 @@ import pytest
 
 from mixent import (
     EpiExperimentConfig,
-    EstimatorSettings,
     MixingMatrix,
     NotOrthonormal,
     UnsupportedFamily,
@@ -127,33 +126,6 @@ def test_report_deterministic():
     assert a.lhs.value == b.lhs.value
 
 
-def test_tolerance_multiplier_controls_verdict():
-    est = EstimatorSettings(tolerance_multiplier=0.0)
-    cfg = config(AVG_ROW, [unit_variance_uniform()] * 2, estimator=est)
-    rep = run_epi_trial(cfg)
-    assert rep.tolerance == 0.0
-    assert rep.verdict == "strict"
-
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"tolerance_multiplier": -3}, "estimator 'tolerance_multiplier' must be finite and at least 0, got -3.0"),
-        ({"tolerance_multiplier": float("nan")}, "estimator 'tolerance_multiplier' must be finite and at least 0, got nan"),
-        ({"tolerance_multiplier": float("inf")}, "estimator 'tolerance_multiplier' must be finite and at least 0, got inf"),
-        ({"knn_k": 0}, "estimator 'knn_k' must be at least 1, got 0"),
-        ({"knn_k": -2}, "estimator 'knn_k' must be at least 1, got -2"),
-    ],
-    ids=["negative_multiplier", "nan_multiplier", "inf_multiplier", "zero_k", "negative_k"],
-)
-def test_estimator_settings_reject_bad_values(kwargs, message):
-    # A negative or NaN multiplier would turn every verdict into a violation
-    # or a vacuous strict; 0 stays valid and makes the tolerance exactly 0.
-    with pytest.raises(ValueError) as info:
-        EstimatorSettings(**kwargs)
-    assert str(info.value) == message
-
-
 def test_left_invertible_invariance():
     srcs = [unit_variance_uniform()] * 2
     a = run_epi_trial(config(AVG_ROW, srcs, n_samples=10000))
@@ -258,7 +230,6 @@ def test_full_recovery_is_closed_form(monkeypatch):
 def test_no_recoverable_component_keeps_the_joint_estimate():
     # r = 0: B = I and the tail is A itself, so the report is the joint
     # estimate of h(A X) on the same draws, bit for bit.
-    est = EstimatorSettings()
     cases = [
         (np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5]]), [unit_variance_uniform(), laplace(1.0),
                                                          exponential(1.0)]),
@@ -271,7 +242,7 @@ def test_no_recoverable_component_keeps_the_joint_estimate():
         field = cfg.matrix.field
         sigmas = [surrogate_sigma(exact_entropy(s), field).sigma for s in srcs]
         rhs = gaussian_mix_entropy(cfg.matrix, sigmas)
-        joint = estimate_entropy(sample_sources(srcs, 2000, 5) @ matrix.T, field, est)
+        joint = estimate_entropy(sample_sources(srcs, 2000, 5) @ matrix.T, field)
         assert rep.rhs == rhs
         assert rep.gap == joint.value - rhs
         assert rep.gap_std_error == joint.std_error
@@ -288,7 +259,7 @@ def test_absent_column_is_dropped():
     rep = run_epi_trial(config(matrix, srcs, seed=6))
     assert rep.classification.present == (0, 2)
     X = sample_sources(srcs, 20000, 6)
-    tail = estimate_entropy(X[:, [0, 2]] @ matrix[:, [0, 2]].T, "real", EstimatorSettings())
+    tail = estimate_entropy(X[:, [0, 2]] @ matrix[:, [0, 2]].T, "real")
     sigmas = [surrogate_sigma(exact_entropy(s)).sigma for s in (srcs[0], srcs[2])]
     assert rep.gap == tail.value - gaussian_mix_entropy(matrix[:, [0, 2]], sigmas)
     assert rep.gap == pytest.approx(STRICT_GAP, abs=0.05)

@@ -16,7 +16,6 @@ from mixent import (
     EntropyEstimate,
     EpiExperimentConfig,
     EpiReport,
-    EstimatorSettings,
     ExtractionResult,
     MixingMatrix,
     Observation,
@@ -193,10 +192,16 @@ def test_samples_csv_complex_round_trip(tmp_path):
 def test_samples_csv_header_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,2.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unexpected CSV header \['a', 'b'\], expected \['s1', 's2'\]$"):
         fmt.read_samples_csv(path)
     path.write_text("s1,s3\n1.0,2.0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unexpected CSV header \['s1', 's3'\], expected \['s1', 's2'\]$"):
+        fmt.read_samples_csv(path)
+    path.write_text("\n  \n")
+    with pytest.raises(ValueError, match=r"^empty samples file$"):
+        fmt.read_samples_csv(path)
+    path.write_text("s1_re,s1_im,s2_re\n1.0,2.0,3.0\n")
+    with pytest.raises(ValueError, match=r"^complex samples need paired _re/_im columns$"):
         fmt.read_samples_csv(path)
 
 
@@ -262,20 +267,12 @@ def test_canonical_dict_uses_one_based_permutation():
     assert_allclose(np.asarray(d["B"]) @ np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), dec.B @ np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), atol=0.0)
 
 
-def test_settings_round_trip_and_validation():
-    s = EstimatorSettings(knn_k=6, spacing_m=50, tolerance_multiplier=2.0)
-    assert fmt.settings_from_dict(fmt.settings_to_dict(s)) == s
-    with pytest.raises(ValueError):
-        fmt.settings_from_dict({"knn_k": 4, "bogus": 1})
-
-
 def test_config_round_trip():
-    cfg = small_config(trials=2, estimator=EstimatorSettings(knn_k=5))
+    cfg = small_config(trials=2)
     back = fmt.config_from_dict(fmt.config_to_dict(cfg))
     assert back.n_samples == cfg.n_samples
     assert back.seed == cfg.seed
     assert back.trials == 2
-    assert back.estimator == cfg.estimator
     assert back.sources == cfg.sources
     assert np.array_equal(back.matrix.array, cfg.matrix.array)
 
@@ -435,12 +432,6 @@ GOLDEN = {
         '{"B": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "field": "complex", "permutation": [2, 1], '
         '"r": 2, "tail": []}',
     ),
-    "settings": (
-        lambda: fmt.settings_to_dict(
-            EstimatorSettings(knn_k=6, spacing_m=None, tolerance_multiplier=2.5)
-        ),
-        '{"knn_k": 6, "spacing_m": null, "tolerance_multiplier": 2.5}',
-    ),
     "config": (
         lambda: fmt.config_to_dict(
             EpiExperimentConfig(
@@ -451,8 +442,7 @@ GOLDEN = {
                 trials=2,
             )
         ),
-        '{"estimator": {"knn_k": 4, "spacing_m": null, "tolerance_multiplier": 3.0}, '
-        '"matrix": {"cols": 2, "data": [[1.0, 0.5]], "field": "real", "rows": 1}, "n_samples": 1000, "seed": 7, '
+        '{"matrix": {"cols": 2, "data": [[1.0, 0.5]], "field": "real", "rows": 1}, "n_samples": 1000, "seed": 7, '
         '"sources": [{"family": "gaussian", "field": "real", "params": {"mu": 0.0, "sigma": 1.0}}, '
         '{"family": "gaussian", "field": "real", "params": {"mu": 0.5, "sigma": 2.0}}], "trials": 2}',
     ),
@@ -521,15 +511,6 @@ GOLDEN = {
         '"seed": 5, "std_error": "-inf"}',
     ),
 }
-
-
-def test_settings_int_tolerance_encodes_as_float():
-    s = EstimatorSettings(tolerance_multiplier=3)
-    assert s == EstimatorSettings()
-    assert fmt.canonical_json(fmt.settings_to_dict(s)) == fmt.canonical_json(
-        fmt.settings_to_dict(EstimatorSettings())
-    )
-    assert '"tolerance_multiplier": 3.0' in fmt.canonical_json(fmt.settings_to_dict(s))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
