@@ -63,6 +63,15 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 # about 1e-4 nats.
 _LINE_SEARCH_STOP = 1e-2
 
+# A pair whose latest line search in a descent turned it by less than this
+# (radians) is settled: when its grid keeps the angle 0, its next search
+# probes +-_LINE_SEARCH_STOP instead of running golden section (see
+# _line_search).  0.05 is about a quarter of the grid step pi/16: a pair that
+# moved less sat well inside the grid's centre cell, where the other pairs'
+# rotations only nudge its minimum.  A pair that moved more is still
+# travelling and keeps golden section.
+_SETTLED = 0.05
+
 # Coordinate descent stops after a sweep that lowers the objective by less
 # than this (nats).  The block standard error of one row's spacing estimate
 # at 20k points is 5e-4 to 3e-3 nats, so a sweep that gains less has reached
@@ -214,28 +223,48 @@ def contrast(W, obs: Observation) -> float:
     return float(hsum - log_volume)
 
 
-def _line_search(f, f0: float, lo: float, hi: float):
+def _line_search(f, f0: float, lo: float, hi: float, settled: bool = False, grid: bool = True):
     """Coarse grid plus golden-section refinement of a 1-D objective.
 
     ``f0`` is the value at 0 (already known).  A 9-point grid on [lo, hi]
     brackets the minimum, and golden section narrows the bracket until it
     is ``_LINE_SEARCH_STOP`` wide: the entropy estimates cannot resolve the
-    objective any finer.  Returns (t_best, f_best, evals_used); t_best may
-    be 0.0 when nothing beats the start.
+    objective any finer.  Without the ``grid`` the bracket is the grid's
+    centre cell, the two grid points next to 0: where the grid would keep 0
+    that is its own bracket, 8 evaluations sooner.
+
+    A ``settled`` search expects its minimum near 0.  When the grid keeps 0
+    it first scores +-``_LINE_SEARCH_STOP`` and returns 0.0 if neither
+    beats ``f0``, 2 evaluations instead of golden section's 10; otherwise
+    golden section runs on the centre cell as usual.
+
+    Returns (t_best, f_best, evals_used), where evals_used counts every call
+    of ``f``; t_best may be 0.0 when nothing beats the start.
     """
     ts = np.linspace(lo, hi, 9)
-    vals = np.empty(9)
+    a, b = ts[3], ts[5]
+    t_best, f_best = 0.0, f0
     evals = 0
-    for i, t in enumerate(ts):
-        if t == 0.0:
-            vals[i] = f0
-        else:
-            vals[i] = f(t)
+    if grid:
+        vals = np.empty(9)
+        for i, t in enumerate(ts):
+            if t == 0.0:
+                vals[i] = f0
+            else:
+                vals[i] = f(t)
+                evals += 1
+        i = int(np.argmin(vals))
+        a = ts[max(i - 1, 0)]
+        b = ts[min(i + 1, 8)]
+        t_best, f_best = ts[i], vals[i]
+    if settled and t_best == 0.0:
+        for t in (-_LINE_SEARCH_STOP, _LINE_SEARCH_STOP):
+            v = f(t)
             evals += 1
-    i = int(np.argmin(vals))
-    a = ts[max(i - 1, 0)]
-    b = ts[min(i + 1, 8)]
-    t_best, f_best = ts[i], vals[i]
+            if v < f_best:
+                t_best, f_best = t, v
+        if t_best == 0.0:
+            return t_best, f_best, evals
     x1 = b - _GOLD * (b - a)
     x2 = a + _GOLD * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -296,12 +325,24 @@ class ExtractionResult:
     seed: int
 
 
-def _optimize_frame(Yw: np.ndarray, m: int, U0: np.ndarray, field: str, max_sweeps: int):
+def _optimize_frame(
+    Yw: np.ndarray, m: int, U0: np.ndarray, field: str, max_sweeps: int, polish: bool = False
+):
     """Coordinate descent over Givens rotations of an orthonormal frame.
 
     Sweeps until one lowers the objective by less than ``_SWEEP_TOL``
     (1e-3 nats), below the standard error of one row's entropy estimate, or
     until ``max_sweeps`` sweeps have run.
+
+    On real data a pair whose latest angle search in this call turned it by
+    less than ``_SETTLED`` is searched as settled (see :func:`_line_search`).
+    Complex pairs are never settled: a settled search that keeps the angle
+    at 0 would skip the phase search, which often still gains there.
+
+    With ``polish`` set, ``U0`` is the frame of a restart that stopped after
+    a sweep that scored every pair's grid on a subsample of ``Yw``, so the
+    first sweep searches every pair on the grid's centre cell without the
+    grid.  Every later sweep scores it again.
     """
     n = U0.shape[0]
     U = U0.copy()
@@ -316,6 +357,8 @@ def _optimize_frame(Yw: np.ndarray, m: int, U0: np.ndarray, field: str, max_swee
     trace = [float(hvals.sum())]
     converged = False
     sweeps = 0
+    # |angle| of each pair's latest accepted rotation, 0.0 if it kept its place.
+    moved = {}
 
     for sweep in range(max_sweeps):
         improvement = 0.0
@@ -338,7 +381,11 @@ def _optimize_frame(Yw: np.ndarray, m: int, U0: np.ndarray, field: str, max_swee
                     scored[t, phase] = hp, hq
                     return v
 
-                theta, f_best, _ = _line_search(f_theta, f0, -math.pi / 4, math.pi / 4)
+                settled = not complex_field and moved.get((p, q), math.inf) < _SETTLED
+                grid = not (polish and sweep == 0)
+                theta, f_best, _ = _line_search(
+                    f_theta, f0, -math.pi / 4, math.pi / 4, settled, grid
+                )
                 phase = 1.0
                 if complex_field and abs(theta) > 1e-12:
 
@@ -351,7 +398,9 @@ def _optimize_frame(Yw: np.ndarray, m: int, U0: np.ndarray, field: str, max_swee
                         f_best = f_phi_best
                         phase = complex(math.cos(phi), math.sin(phi))
 
+                moved[p, q] = 0.0
                 if f_best < f0 and abs(theta) > 0.0:
+                    moved[p, q] = abs(theta)
                     c, s = math.cos(theta), math.sin(theta)
                     a, b = s * phase, -s * np.conj(phase)
                     Z[p], Z[q] = c * zp + a * zq, b * zp + c * zq
@@ -390,12 +439,20 @@ def minimize_contrast(
     sources.  A restart stops after a sweep that gains less than 1e-3 nats,
     below that standard error.
 
+    A pair is searched on a 9-point angle grid, then by golden section
+    around the grid's best point.  On real data a pair is settled once its
+    latest search in a descent turned it by less than 0.05 rad: if its grid
+    then keeps the angle 0, the angles +-1e-2 are scored instead of golden
+    section, and the pair stays in place unless one of them gains.
+
     The search runs in two stages.  The restarts only have to find the
     basin of a separating frame, so they search every ``stride``-th
     whitened point, ``stride = max(1, N // 5000)``: 5000 to 10,000 points
     once N reaches 10,000, and all N below that.  When ``stride > 1`` the
     best restart's frame is then polished by the same descent, with the
-    same stop rules and ``max_sweeps``, on all N points.
+    same stop rules and ``max_sweeps``, on all N points.  The restart's
+    last sweep scored every pair's grid, so the polish's first sweep
+    searches each pair on the grid's centre cell only.
 
     ``restart_objectives``, ``trace``, ``best_restart`` and ``sweeps``
     describe the restart stage on the points it searched, one entry of
@@ -443,7 +500,9 @@ def minimize_contrast(
 
     U, _, sweeps, conv, r_best = best
     if stride > 1:
-        U, _, _, polished, _ = _optimize_frame(wobs.samples, n_extract, U, obs.field, max_sweeps)
+        U, _, _, polished, _ = _optimize_frame(
+            wobs.samples, n_extract, U, obs.field, max_sweeps, True
+        )
         conv = conv and polished
     W = U[:n_extract] @ C
     W = W / np.linalg.norm(W, axis=1, keepdims=True)

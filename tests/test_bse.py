@@ -352,7 +352,7 @@ def test_minimize_contrast_seeded_golden():
     M, _ = np.linalg.qr(gen.standard_normal((3, 3)))
     X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 3000, 61)
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=7, restarts=2)
-    assert _extraction_digest(res) == "3fa969ad80bdaf889f9e524a72208c4b74b6be0a90df66ba42a5e2b34b73ae62"
+    assert _extraction_digest(res) == "41e2a5750c7090418f4897b77b36e2e7516a70a64c2fe20d7c49c1a5f0f19d52"
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)
@@ -373,7 +373,7 @@ def test_two_agreeing_restarts_keep_their_seeded_bytes():
     X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 2000, 61)
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=7, restarts=2)
     assert abs(res.restart_objectives[1] - res.restart_objectives[0]) <= bse._AGREE
-    assert _extraction_digest(res) == "7ab21b023c46c29020d1b49e133091df588690e12ff53437ecc7a7ba0e238a85"
+    assert _extraction_digest(res) == "fc4ee493bf43f38a099cd320958d4cdb91d90370f52575157416d29289cc4e3c"
 
 
 def test_restarts_stop_once_two_agree(monkeypatch):
@@ -447,6 +447,108 @@ def test_line_search_keeps_a_minimum_at_zero():
     assert (t, f_best) == (0.0, 1.0)
     assert evals == len(calls) <= 20
     assert 0.0 not in calls
+
+
+@pytest.mark.parametrize(
+    "f", [lambda t: 1.0 + abs(t - 0.003), lambda t: (t - 0.02) ** 2], ids=["v_shape", "quadratic"]
+)
+def test_line_search_without_the_grid_is_the_grid_search_near_zero(f):
+    # With the grid's argmin at 0 the grid search brackets the centre cell,
+    # so starting there gives the same result without scoring the grid.
+    import mixent.bse as bse
+
+    lo, hi = -np.pi / 4, np.pi / 4
+    t_grid, f_grid, evals_grid = bse._line_search(f, f(0.0), lo, hi)
+    t_cell, f_cell, evals_cell = bse._line_search(f, f(0.0), lo, hi, grid=False)
+    assert (t_cell, f_cell) == (t_grid, f_grid)
+    assert evals_cell == evals_grid - 8
+
+
+@pytest.mark.parametrize(
+    "f", [lambda t: 1.0 + abs(t + 0.03), lambda t: (t - 0.02) ** 2], ids=["v_shape", "quadratic"]
+)
+def test_settled_line_search_refines_after_a_gaining_probe(f):
+    # The grid keeps 0 and a probe gains, so golden section runs on the
+    # grid's centre cell as in the plain search, 2 evaluations later.
+    import mixent.bse as bse
+
+    lo, hi = -np.pi / 4, np.pi / 4
+    t_plain, f_plain, evals_plain = bse._line_search(f, f(0.0), lo, hi)
+    t_settled, f_settled, evals_settled = bse._line_search(f, f(0.0), lo, hi, True)
+    assert (t_settled, f_settled) == (t_plain, f_plain)
+    assert evals_settled == evals_plain + 2
+
+
+def test_settled_line_search_keeps_a_settled_minimum():
+    import mixent.bse as bse
+
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 + t**2
+
+    assert bse._line_search(f, 1.0, -np.pi / 4, np.pi / 4, True) == (0.0, 1.0, 10)
+    assert len(calls) == 10 and 0.0 not in calls
+    assert sorted(calls[-2:]) == [-bse._LINE_SEARCH_STOP, bse._LINE_SEARCH_STOP]
+
+
+@pytest.mark.parametrize(
+    "f", [lambda t: (t - 0.5) ** 2, lambda t: 1.0 + abs(t + 0.3)], ids=["quadratic", "v_shape"]
+)
+def test_settled_line_search_sees_a_minimum_beyond_the_centre_cell(f):
+    # A settled pair still scores the whole grid, so a minimum outside the
+    # probe's reach is found exactly as by the plain search.
+    import mixent.bse as bse
+
+    lo, hi = -np.pi / 4, np.pi / 4
+    assert bse._line_search(f, f(0.0), lo, hi, True) == bse._line_search(f, f(0.0), lo, hi)
+
+
+def test_polish_start_changes_no_bit(monkeypatch):
+    # Criterion 9's first input: the polish searches the best restart's
+    # pairs on the grid's centre cell in its first sweep, and ends with the
+    # same frame, objective and sweeps as a polish that scores the grid,
+    # 8 evaluations sooner for each of the 5 pairs.
+    import mixent.bse as bse
+
+    calls, optimize = [], bse._optimize_frame
+    evals, line_search = [0], bse._line_search
+
+    def recorded_optimize(*args):
+        calls.append(args)
+        return optimize(*args)
+
+    def counted_line_search(*args):
+        result = line_search(*args)
+        evals[0] += result[2]
+        return result
+
+    monkeypatch.setattr(bse, "_optimize_frame", recorded_optimize)
+    gen = np.random.Generator(np.random.Philox(9000))
+    M, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), 20000, 0)
+    minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=0)
+    args = calls[-1]
+    assert args[0].shape[0] == 20000 and args[5] is True
+    monkeypatch.setattr(bse, "_line_search", counted_line_search)
+    U, objective, sweeps, _, _ = optimize(*args)
+    evals_start, evals[0] = evals[0], 0
+    U_grid, objective_grid, sweeps_grid, _, _ = optimize(*args[:5])
+    assert np.array_equal(U, U_grid)
+    assert (objective, sweeps) == (objective_grid, sweeps_grid)
+    assert evals_start == evals[0] - 8 * 5
+
+
+def test_one_restart_still_separates_where_the_grid_finds_the_basin():
+    # Criterion 9's shape, seed 50, one restart.  A settled search that
+    # probes +-1e-2 without scoring the grid stops this descent in a frame
+    # that does not separate (dominance 0.641), so the grid must stay.
+    gen = np.random.Generator(np.random.Philox(9050))
+    M, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), 20000, 50)
+    res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=50, restarts=1)
+    assert min(separation_quality(res.demixer, M).dominance) >= 0.95
 
 
 @pytest.mark.parametrize("case", ["real", "complex"])
@@ -554,7 +656,10 @@ def test_restarts_search_a_subsample_and_the_polish_all_the_data(n_samples, monk
     if n_samples == 20000:
         assert rows == [{5000}] * 2 + [{20000}]
     else:
-        assert rows == [{3000}] * 2
+        # Restart 0 ends in a frame that does not separate, so the restarts
+        # do not agree until a third one runs, and the result separates.
+        assert rows == [{3000}] * 3
+        assert min(separation_quality(res.demixer, M).dominance) >= 0.95
     assert_restarts_stopped_at_agreement(res, 5)
     assert res.restart_objectives[res.best_restart] == min(res.restart_objectives)
 
