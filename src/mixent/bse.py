@@ -24,6 +24,7 @@ from .entropy import (
     KNN_K,
     SpacingWorkspace,
     _block_std_error,
+    _check_int,
     _knn_value,
     _require_finite,
     default_spacing_window,
@@ -64,12 +65,13 @@ _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 _LINE_SEARCH_STOP = 1e-2
 
 # A pair whose latest line search in a descent turned it by less than this
-# (radians) is settled: when its grid keeps the angle 0, its next search
-# probes +-_LINE_SEARCH_STOP instead of running golden section (see
-# _line_search).  0.05 is about a quarter of the grid step pi/16: a pair that
-# moved less sat well inside the grid's centre cell, where the other pairs'
-# rotations only nudge its minimum.  A pair that moved more is still
-# travelling and keeps golden section.
+# (radians) is settled, in both fields: when its grid keeps the angle 0, its
+# next search probes +-_LINE_SEARCH_STOP instead of running golden section
+# (see _line_search).  0.05 is about a quarter of the grid step pi/16: a pair
+# that moved less sat well inside the grid's centre cell, where the other
+# pairs' rotations only nudge its minimum.  A pair that moved more is still
+# travelling and keeps golden section.  A complex pair held at an angle within
+# +-_LINE_SEARCH_STOP skips its phase search whether it is settled or not.
 _SETTLED = 0.05
 
 # Coordinate descent stops after a sweep that lowers the objective by less
@@ -334,10 +336,13 @@ def _optimize_frame(
     (1e-3 nats), below the standard error of one row's entropy estimate, or
     until ``max_sweeps`` sweeps have run.
 
-    On real data a pair whose latest angle search in this call turned it by
-    less than ``_SETTLED`` is searched as settled (see :func:`_line_search`).
-    Complex pairs are never settled: a settled search that keeps the angle
-    at 0 would skip the phase search, which often still gains there.
+    A pair whose latest angle search in this call turned it by less than
+    ``_SETTLED`` is searched as settled (see :func:`_line_search`), in both
+    fields.  On complex data the phase of an angle search's best angle is
+    searched only when that angle is wider than ``_LINE_SEARCH_STOP``: a
+    Givens rotation by theta moves a row by at most |theta| whatever its
+    phase, and below the angle search's own resolution the entropy
+    estimates cannot tell phases apart.
 
     With ``polish`` set, ``U0`` is the frame of a restart that stopped after
     a sweep that scored every pair's grid on a subsample of ``Yw``, so the
@@ -381,13 +386,13 @@ def _optimize_frame(
                     scored[t, phase] = hp, hq
                     return v
 
-                settled = not complex_field and moved.get((p, q), math.inf) < _SETTLED
+                settled = moved.get((p, q), math.inf) < _SETTLED
                 grid = not (polish and sweep == 0)
                 theta, f_best, _ = _line_search(
                     f_theta, f0, -math.pi / 4, math.pi / 4, settled, grid
                 )
                 phase = 1.0
-                if complex_field and abs(theta) > 1e-12:
+                if complex_field and abs(theta) > _LINE_SEARCH_STOP:
 
                     def f_phi(a):
                         return f_theta(theta, phase=complex(math.cos(a), math.sin(a)))
@@ -440,10 +445,14 @@ def minimize_contrast(
     below that standard error.
 
     A pair is searched on a 9-point angle grid, then by golden section
-    around the grid's best point.  On real data a pair is settled once its
-    latest search in a descent turned it by less than 0.05 rad: if its grid
-    then keeps the angle 0, the angles +-1e-2 are scored instead of golden
-    section, and the pair stays in place unless one of them gains.
+    around the grid's best point.  A complex pair's phase is searched only
+    when that angle is wider than 1e-2 rad: a rotation by theta moves a row
+    by at most |theta| whatever its phase, so below the angle search's own
+    bracket the estimates cannot tell phases apart.  A pair of either field
+    is settled once its latest search in a descent turned it by less than
+    0.05 rad: if its grid then keeps the angle 0, the angles +-1e-2 are
+    scored instead of golden section, and the pair stays in place unless
+    one of them gains.
 
     The search runs in two stages.  The restarts only have to find the
     basin of a separating frame, so they search every ``stride``-th
@@ -468,8 +477,13 @@ def minimize_contrast(
     SingularCovariance
         Numerically singular observation covariance.
     ValueError
-        ``restarts`` or ``max_sweeps`` below 1.
+        ``n_extract``, ``restarts`` or ``max_sweeps`` not an integer (a bool
+        is not one), ``n_extract`` outside [1, n], or ``restarts`` or
+        ``max_sweeps`` below 1.
     """
+    _check_int(n_extract, "n_extract")
+    _check_int(restarts, "restarts")
+    _check_int(max_sweeps, "max_sweeps")
     N, n = obs.samples.shape
     if N < 1000:
         raise TooFewSamples(f"extraction needs at least 1000 samples, got {N}")

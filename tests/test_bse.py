@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -340,6 +341,18 @@ def test_minimize_contrast_validation():
         minimize_contrast(small, 1)
 
 
+@pytest.mark.parametrize("name", ["n_extract", "restarts", "max_sweeps"])
+@pytest.mark.parametrize("value", [1.5, 2.5, True, np.float64(2.0)])
+def test_minimize_contrast_counts_must_be_integers(name, value):
+    # A float count would reach range() as a raw TypeError, and a bool would
+    # run as 1 and be reported as true.
+    _, obs = uniform_observation(2, 2000, 35)
+    counts = {"n_extract": 1, "restarts": 1, "max_sweeps": 1, name: value}
+    n_extract = counts.pop("n_extract")
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        minimize_contrast(obs, n_extract, **counts)
+
+
 def _extraction_digest(result):
     text = fmt.canonical_json(fmt.extraction_to_dict(result))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -356,7 +369,7 @@ def test_minimize_contrast_seeded_golden():
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)
-    assert _extraction_digest(res) == "28841c0e7596f07204bd18bddc68345a1f7ccb58893d2b3a46fa4b1eee604966"
+    assert _extraction_digest(res) == "e026ce0b32abf6a0ed46ad90bf3d8b89abc20880762c1e408f7b992cba612b16"
 
 
 def test_two_agreeing_restarts_keep_their_seeded_bytes():
@@ -409,7 +422,58 @@ def test_complex_two_row_extraction_seeded_golden():
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 65)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 2, seed=10, restarts=1)
-    assert _extraction_digest(res) == "035c21ae2c889a305c53ab61197fb47c5f1684dfdd7f5633857a3ea3e9918ab1"
+    assert _extraction_digest(res) == "e4e013d16708d0881a71474792405e8be47e95b425179d7a295ccaae2b26ae90"
+
+
+def record_complex_line_searches(monkeypatch):
+    # One complex extraction of a 2 x 2 disk mixture at one restart: a single
+    # pair in a single descent.  Returns each angle search as (settled, f0,
+    # theta, f_best) followed by whether a phase search came next.
+    import mixent.bse as bse
+
+    calls = []
+    line_search = bse._line_search
+
+    def recorded(f, f0, lo, hi, *args):
+        result = line_search(f, f0, lo, hi, *args)
+        if hi == math.pi / 2:
+            calls[-1][1] = True
+        else:
+            calls.append([(bool(args[0]), f0, result[0], result[1]), False])
+        return result
+
+    monkeypatch.setattr(bse, "_line_search", recorded)
+    gen = np.random.Generator(np.random.Philox(5003))
+    Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
+    Z = sample_sources([uniform_disk(1.0)] * 2, 3000, 103)
+    minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=3, restarts=1)
+    return calls
+
+
+def test_complex_phase_is_searched_only_past_the_angle_resolution(monkeypatch):
+    # A rotation by theta moves a row by at most |theta| whatever its phase,
+    # so below the angle search's 1e-2 rad bracket no phase is searched.
+    import mixent.bse as bse
+
+    calls = record_complex_line_searches(monkeypatch)
+    assert any(phase for _, phase in calls)
+    for (_, _, theta, _), phase in calls:
+        assert phase == (abs(theta) > bse._LINE_SEARCH_STOP), theta
+
+
+def test_complex_pairs_are_settled_like_real_ones(monkeypatch):
+    # After its first search the pair is settled exactly when its latest
+    # accepted turn was below _SETTLED, as on real data.
+    import mixent.bse as bse
+
+    calls = record_complex_line_searches(monkeypatch)
+    assert len(calls) > 2
+    assert not calls[0][0][0]
+    for (prev, _), ((settled, _, _, _), _) in zip(calls, calls[1:]):
+        _, f0, theta, f_best = prev
+        turn = abs(theta) if f_best < f0 and theta != 0.0 else 0.0
+        assert settled == (turn < bse._SETTLED), turn
+    assert any(settled for (settled, _, _, _), _ in calls)
 
 
 # (objective, lo, hi, t*): the angle search's interval and period, and the

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import digamma, gammaln
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from mixent import (
     surrogate_sigma,
     uniform,
 )
+from mixent.complex_embedding import embed_samples
 from mixent.entropy import (
     SpacingWorkspace,
     _knn_value,
@@ -282,6 +284,40 @@ def test_knn_duplicates():
     assert knn_entropy(pts).value == _knn_value(pts, 4)
     with pytest.raises(DuplicatePoints, match="zero 4-th neighbor distance: 5 or more equal"):
         knn_entropy(np.repeat(np.arange(30.0), 5).reshape(-1, 1))
+
+
+def brute_force_knn_value(pts, k):
+    # Every pairwise distance, summed over the coordinates in order and then
+    # rooted as a kd-tree query does, and the k-th neighbor of each point by
+    # partition (the point itself is the 0-th).
+    n, d = pts.shape
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
+    eps = np.partition(dist, k, axis=1)[:, k]
+    log_vd = 0.5 * d * math.log(math.pi) - gammaln(0.5 * d + 1.0)
+    return float(digamma(n) - digamma(k) + log_vd + d * np.mean(np.log(eps)))
+
+
+def knn_exactness_case(name, k):
+    gen = np.random.Generator(np.random.Philox(23))
+    if name == "real_1d":
+        return gen.standard_normal((700, 1))
+    if name == "real_2d":
+        return gen.uniform(-1.0, 1.0, (700, 2))
+    if name == "complex":
+        return embed_samples((gen.standard_normal(700) + 1j * gen.standard_normal(700))[:, None])
+    # Each of the first 40 points k - 1 more times: the most duplicates that
+    # still leave a nonzero k-th neighbor distance.
+    pts = gen.standard_normal((580, 2))
+    return np.concatenate([pts, np.repeat(pts[:40], k - 1, axis=0)])
+
+
+@pytest.mark.parametrize("name", ["real_1d", "real_2d", "complex", "duplicates"])
+@pytest.mark.parametrize("k", [2, 4])
+def test_knn_value_is_the_brute_force_value(name, k):
+    # The kd-tree is only an index: whatever its splits, each k-th neighbor
+    # distance is the exact one, so the estimate keeps every bit.
+    pts = knn_exactness_case(name, k)
+    assert _knn_value(pts, k) == brute_force_knn_value(pts, k)
 
 
 def test_knn_rejects_grid_data():
