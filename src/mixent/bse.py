@@ -328,7 +328,13 @@ class ExtractionResult:
 
 
 def _optimize_frame(
-    Yw: np.ndarray, m: int, U0: np.ndarray, field: str, max_sweeps: int, polish: bool = False
+    Yw: np.ndarray,
+    m: int,
+    U0: np.ndarray,
+    field: str,
+    max_sweeps: int,
+    polish: bool = False,
+    confirmed: bool = False,
 ):
     """Coordinate descent over Givens rotations of an orthonormal frame.
 
@@ -347,7 +353,9 @@ def _optimize_frame(
     With ``polish`` set, ``U0`` is the frame of a restart that stopped after
     a sweep that scored every pair's grid on a subsample of ``Yw``, so the
     first sweep searches every pair on the grid's centre cell without the
-    grid.  Every later sweep scores it again.
+    grid.  Every later sweep scores it again, unless the polish is also
+    ``confirmed``: a second restart ended in the same basin, so the polish
+    only refines a frame inside it, and every sweep skips the grid.
     """
     n = U0.shape[0]
     U = U0.copy()
@@ -387,7 +395,7 @@ def _optimize_frame(
                     return v
 
                 settled = moved.get((p, q), math.inf) < _SETTLED
-                grid = not (polish and sweep == 0)
+                grid = not (polish and (confirmed or sweep == 0))
                 theta, f_best, _ = _line_search(
                     f_theta, f0, -math.pi / 4, math.pi / 4, settled, grid
                 )
@@ -461,7 +469,10 @@ def minimize_contrast(
     best restart's frame is then polished by the same descent, with the
     same stop rules and ``max_sweeps``, on all N points.  The restart's
     last sweep scored every pair's grid, so the polish's first sweep
-    searches each pair on the grid's centre cell only.
+    searches each pair on the grid's centre cell only.  When the restarts
+    stopped because two agree, the frame's basin is confirmed and every
+    polish sweep does so; after a single restart, or when no two agree,
+    the polish's later sweeps score the grid again.
 
     ``restart_objectives``, ``trace``, ``best_restart`` and ``sweeps``
     describe the restart stage on the points it searched, one entry of
@@ -509,13 +520,14 @@ def minimize_contrast(
         traces.append(trace)
         if best is None or obj < best[1]:
             best = (U, obj, sweeps, conv, r)
-        if sum(o - best[1] <= _AGREE for o in objectives) >= 2:
+        agreed = sum(o - best[1] <= _AGREE for o in objectives) >= 2
+        if agreed:
             break
 
     U, _, sweeps, conv, r_best = best
     if stride > 1:
         U, _, _, polished, _ = _optimize_frame(
-            wobs.samples, n_extract, U, obs.field, max_sweeps, True
+            wobs.samples, n_extract, U, obs.field, max_sweeps, True, agreed
         )
         conv = conv and polished
     W = U[:n_extract] @ C

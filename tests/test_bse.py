@@ -570,10 +570,10 @@ def test_settled_line_search_sees_a_minimum_beyond_the_centre_cell(f):
 
 
 def test_polish_start_changes_no_bit(monkeypatch):
-    # Criterion 9's first input: the polish searches the best restart's
-    # pairs on the grid's centre cell in its first sweep, and ends with the
-    # same frame, objective and sweeps as a polish that scores the grid,
-    # 8 evaluations sooner for each of the 5 pairs.
+    # Criterion 9's first input: two restarts agree, so the polish searches
+    # the best restart's pairs on the grid's centre cell in every sweep, and
+    # ends with the same frame, objective and sweeps as a polish that scores
+    # the grid, 8 evaluations sooner for each of the 5 pairs in every sweep.
     import mixent.bse as bse
 
     calls, optimize = [], bse._optimize_frame
@@ -601,7 +601,49 @@ def test_polish_start_changes_no_bit(monkeypatch):
     U_grid, objective_grid, sweeps_grid, _, _ = optimize(*args[:5])
     assert np.array_equal(U, U_grid)
     assert (objective, sweeps) == (objective_grid, sweeps_grid)
-    assert evals_start == evals[0] - 8 * 5
+    assert evals_start == evals[0] - 8 * 5 * sweeps
+
+
+def test_confirmed_polish_never_scores_the_grid(monkeypatch):
+    # Criterion 9's first input.  Once two restarts agree, every polish sweep
+    # searches each pair on the grid's centre cell; with one restart, or
+    # when no two restarts agree, the polish's later sweeps score the grid.
+    import mixent.bse as bse
+
+    optimize, line_search = bse._optimize_frame, bse._line_search
+    polish = [False]
+    grids = []
+
+    def recorded_optimize(*args):
+        polish[0] = args[0].shape[0] == 20000
+        return optimize(*args)
+
+    def recorded_line_search(*args):
+        if polish[0]:
+            grids.append(args[5])
+        return line_search(*args)
+
+    monkeypatch.setattr(bse, "_optimize_frame", recorded_optimize)
+    monkeypatch.setattr(bse, "_line_search", recorded_line_search)
+    gen = np.random.Generator(np.random.Philox(9000))
+    M, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), 20000, 0)
+    obs = Observation.from_samples(X @ M.T)
+
+    def polish_grids(**kwargs):
+        grids.clear()
+        minimize_contrast(obs, 2, seed=0, **kwargs)
+        return list(grids)
+
+    def assert_first_sweep_only(grid):
+        # 5 pairs per sweep: the first sweep skips the grid, later ones score it.
+        assert len(grid) > 5 and grid == [False] * 5 + [True] * (len(grid) - 5)
+
+    confirmed = polish_grids()
+    assert len(confirmed) > 5 and not any(confirmed)
+    assert_first_sweep_only(polish_grids(restarts=1))
+    monkeypatch.setattr(bse, "_AGREE", -1.0)
+    assert_first_sweep_only(polish_grids())
 
 
 def test_one_restart_still_separates_where_the_grid_finds_the_basin():
