@@ -24,7 +24,6 @@ from .entropy import (
     KNN_K,
     SpacingWorkspace,
     _block_std_error,
-    _check_int,
     _knn_value,
     _require_finite,
     default_spacing_window,
@@ -38,7 +37,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .matrix_analysis import as_array, rank_of
-from .rng import generator, haar_rows
+from .rng import check_count, generator, haar_rows
 
 __all__ = [
     "Observation",
@@ -483,27 +482,20 @@ def minimize_contrast(
 
     Raises
     ------
+    ValueError
+        ``n_extract`` not an integer in [1, n], or ``restarts`` or
+        ``max_sweeps`` not one of at least 1; checked before the sample size.
     TooFewSamples
         Fewer than 1000 observations.
     SingularCovariance
         Numerically singular observation covariance.
-    ValueError
-        ``n_extract``, ``restarts`` or ``max_sweeps`` not an integer (a bool
-        is not one), ``n_extract`` outside [1, n], or ``restarts`` or
-        ``max_sweeps`` below 1.
     """
-    _check_int(n_extract, "n_extract")
-    _check_int(restarts, "restarts")
-    _check_int(max_sweeps, "max_sweeps")
     N, n = obs.samples.shape
+    n_extract = check_count(n_extract, "n_extract", 1, n)
+    restarts = check_count(restarts, "restarts")
+    max_sweeps = check_count(max_sweeps, "max_sweeps")
     if N < 1000:
         raise TooFewSamples(f"extraction needs at least 1000 samples, got {N}")
-    if not 1 <= n_extract <= n:
-        raise ValueError(f"n_extract must be in [1, {n}], got {n_extract}")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
     stride = max(1, N // _COARSE_POINTS)
 
     wobs, C = whiten(obs)

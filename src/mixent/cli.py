@@ -39,6 +39,7 @@ from .entropy import KNN_K, knn_entropy, spacing_entropy, spacings_apply
 from .epi_lab import run_epi_trial
 from .errors import MixentError, UsageError
 from .matrix_analysis import canonical_form, classify_components, rank_of
+from .rng import check_count
 
 __all__ = ["main"]
 
@@ -51,10 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    try:
+        return check_count(int(text), "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -198,6 +198,4 @@ def block_polar(block) -> BlockPolar:
     theta = 0.5 * float(np.arctan2(2.0 * b, a - c))
     if theta <= -np.pi / 2:
         theta += np.pi
-    elif theta > np.pi / 2:
-        theta -= np.pi
     return BlockPolar(theta=theta, d=(float(d1), float(d2)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .complex_embedding import dtype_of, real_dims
 from .errors import NotCircular, UnsupportedFamily
-from .rng import generator, normal_open, uniform_open
+from .rng import check_count, generator, normal_open, uniform_open
 
 __all__ = [
     "SourceModel",
@@ -284,8 +284,7 @@ def sample(model: SourceModel, n_samples: int, seed: int, stream: int = 0) -> np
     (seed, stream), so results are reproducible bit for bit and independent
     streams never overlap.  Complex families return complex128 arrays.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    n_samples = check_count(n_samples, "n_samples")
     rng = generator(seed, stream)
     p = model.params
     if model.family == "gaussian":
@@ -325,14 +324,17 @@ def sample_sources(
     source indices to draw, in output order (default: all); each keeps its
     own stream, so a subset holds exactly the columns of the full draw.  All
     models must live over the same field (else ``UnsupportedFamily``); an
-    empty list raises ``ValueError``.
+    empty list or a bad count, trial or column raises ``ValueError``.
     """
     sources = list(sources)
     if not sources:
         raise ValueError("need at least one source")
     if len({s.field for s in sources}) > 1:
         raise UnsupportedFamily("cannot sample models over mixed fields into one array")
-    columns = range(len(sources)) if columns is None else list(columns)
+    n_samples = check_count(n_samples, "n_samples")
+    trial = check_count(trial, "trial", 0)
+    n = len(sources)
+    columns = range(n) if columns is None else [check_count(j, "column", 0, n - 1) for j in columns]
     out = np.empty((n_samples, len(columns)), dtype=dtype_of(sources[0].field))
     for k, j in enumerate(columns):
         out[:, k] = sample(sources[j], n_samples, seed, stream=(trial << 20) | j)
@@ -615,7 +617,6 @@ def transport_log_derivative_expectation(tmap: TransportMap1D, n_samples: int, s
     when the target entropy matches the standard normal entropy, and is
     exactly zero for the standard normal target itself.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    n_samples = check_count(n_samples, "n_samples")
     z = normal_open(generator(seed, 0), n_samples)
     return float(np.mean(np.log(tmap.derivative(z))))

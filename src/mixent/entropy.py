@@ -27,7 +27,7 @@ import numpy as np
 from .complex_embedding import _real_array, embed_samples, field_of, real_dims
 from .errors import DegenerateData, DuplicatePoints, RankDeficient, TooFewSamples
 from .matrix_analysis import as_array, rank_of
-from .rng import generator
+from .rng import check_count, generator
 
 __all__ = [
     "EntropyEstimate",
@@ -147,12 +147,6 @@ def _require_finite(arr: np.ndarray) -> None:
         raise DegenerateData(f"samples contain {bad} non-finite values (NaN or inf)")
 
 
-def _check_int(v, name: str) -> None:
-    """ValueError unless ``v`` is an integer (Python or numpy, not a bool)."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
 def default_spacing_window(n: int) -> int:
     """Default window: round(sqrt(n)), clipped to a valid range."""
     return int(min(max(round(math.sqrt(n)), 1), n // 2))
@@ -180,7 +174,7 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     samples:
         1-D real sample array, at least 10 points.
     m:
-        Integer window; defaults to round(sqrt(n)).  ValueError unless 1 <= m <= n // 2.
+        Integer window; defaults to round(sqrt(n)).
 
     Returns
     -------
@@ -189,12 +183,12 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
 
     Raises
     ------
+    ValueError
+        A sample that is not 1-D, or ``m`` not an integer in [1, n // 2].
     TooFewSamples
     DegenerateData
         All samples equal, or some not finite.
     """
-    if m is not None:
-        _check_int(m, "m")
     x = _real_array(samples, "samples")
     if x.ndim != 1:
         raise ValueError("spacing estimator requires a 1-D real sample")
@@ -202,17 +196,14 @@ def spacing_entropy(samples, m: int | None = None) -> EntropyEstimate:
     if n < 10:
         raise TooFewSamples(f"need at least 10 samples, got {n}")
     _require_finite(x)
-    if m is None:
-        m = default_spacing_window(n)
-    elif not 1 <= m <= n // 2:
-        raise ValueError(f"window m={m} out of range [1, {n // 2}]")
+    m = default_spacing_window(n) if m is None else check_count(m, "m", 1, n // 2)
     value = spacing_entropy_value(x, m)
     se = _block_std_error(
         lambda blk: spacing_entropy_value(blk, default_spacing_window(blk.size)),
         x,
         min_block=10,
     )
-    return EntropyEstimate(value=value, method="spacing", n_samples=n, params={"m": int(m)}, std_error=se)
+    return EntropyEstimate(value=value, method="spacing", n_samples=n, params={"m": m}, std_error=se)
 
 
 def _knn_value(pts: np.ndarray, k: int) -> float:
@@ -249,11 +240,13 @@ def knn_entropy(samples, k: int = KNN_K) -> EntropyEstimate:
 
     Raises
     ------
+    ValueError
+        ``k`` not an integer of at least 1 (checked before the sample size).
     TooFewSamples, DuplicatePoints
     DegenerateData
         Some samples are not finite.
     """
-    _check_int(k, "k")
+    k = check_count(k, "k")
     arr = np.asarray(samples)
     arr = embed_samples(arr) if np.iscomplexobj(arr) else np.asarray(arr, dtype=np.float64)
     if arr.ndim == 1:
@@ -263,12 +256,10 @@ def knn_entropy(samples, k: int = KNN_K) -> EntropyEstimate:
     n, d = arr.shape
     if n < 50 or n <= k:
         raise TooFewSamples(f"need at least max(50, k+1) samples, got {n} with k={k}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     _require_finite(arr)
     value = _knn_value(arr, k)
     se = _block_std_error(lambda blk: _knn_value(blk, k), arr, min_block=max(10, k + 2))
-    return EntropyEstimate(value=value, method="knn", n_samples=n, params={"k": int(k)}, std_error=se)
+    return EntropyEstimate(value=value, method="knn", n_samples=n, params={"k": k}, std_error=se)
 
 
 def spacings_apply(field: str, columns: int) -> bool:

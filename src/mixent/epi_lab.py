@@ -40,7 +40,7 @@ from .matrix_analysis import (
     log_concavity_gap_blocks,
     rank_of,
 )
-from .rng import check_seed, generator, haar_rows, normal_open
+from .rng import check_count, check_seed, generator, haar_rows, normal_open
 
 __all__ = [
     "EpiExperimentConfig",
@@ -83,10 +83,8 @@ class EpiExperimentConfig:
         dist.check_sources(self.sources, self.matrix.field, self.matrix.cols)
         # The trivial and closed-form reports draw nothing, yet record the seed.
         check_seed(self.seed)
-        if self.n_samples < 1000:
-            raise ValueError("n_samples must be at least 1000")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        check_count(self.n_samples, "n_samples", 1000)
+        check_count(self.trials, "trials")
 
 
 @dataclass(frozen=True)
@@ -320,8 +318,7 @@ def run_lemma2_sweep(count: int, seed: int = 0) -> LemmaSweepReport:
     Two sub-sweeps of ``max(1, count // 10)`` run alongside: equal scales
     (gap identically zero) and 2x2-block scales through the complex embedding.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    count = check_count(count, "count")
     lo, hi = _LEMMA_SCALES
 
     def draw(stream, complex_field):
@@ -380,8 +377,9 @@ def expectation_inequality_check(Q, targets, n_samples: int, seed: int) -> float
     NotOrthonormal, UnsupportedFamily
         For a bad Q or complex targets.
     ValueError
-        If some target entropy does not match the standard normal.
+        A target entropy off the standard normal's, or a bad ``n_samples``.
     """
+    n_samples = check_count(n_samples, "n_samples")
     arr = _real_array(Q, "Q")
     if arr.ndim != 2:
         raise ValueError("Q must be a matrix")

@@ -30,6 +30,7 @@ from .matrix_analysis import (
     ComponentClassification,
     MixingMatrix,
 )
+from .rng import is_int
 
 __all__ = [
     "canonical_json",
@@ -65,19 +66,15 @@ def _num(x) -> float | str:
 
 
 def _denum(v) -> float:
-    if isinstance(v, str):
-        if v not in ("-inf", "inf", "nan"):
-            raise ValueError(f"not a number: {v!r}")
-    elif isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+    # A bool or a str is not a number; no "inf" string could make a finite matrix.
+    if not (is_int(v) or isinstance(v, (float, np.floating))):
         raise ValueError(f"not a number: {v!r}")
     return float(v)
 
 
 def _int(v, what: str) -> int:
     # A bool or a str is not an integer, and a float must be integral: 2000.0 reads as 2000.
-    if (isinstance(v, (int, np.integer)) and not isinstance(v, bool)) or (
-        isinstance(v, (float, np.floating)) and v.is_integer()
-    ):
+    if is_int(v) or (isinstance(v, (float, np.floating)) and v.is_integer()):
         return int(v)
     raise ValueError(f"{what} must be an integer, got {v!r}")
 

@@ -14,10 +14,29 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def is_int(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_count(v, name: str, lo: int = 1, hi: int | None = None) -> int:
+    """``v`` as an int; ValueError naming ``name`` unless it is an integer
+    in [lo, hi], or at least ``lo`` when ``hi`` is None.  The one check of
+    every integer size, count, window, index and stream argument."""
+    if not is_int(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    v = int(v)
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {v}")
+    if v < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {v}")
+    return v
+
+
 def check_seed(seed) -> None:
     """ValueError unless ``seed`` is an integer (not a bool) in [0, 2**64):
     masking any other value to 64 bits would reuse another seed's streams."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) <= _MASK64:
+    if not is_int(seed) or not 0 <= int(seed) <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
@@ -26,10 +45,12 @@ def mix_seed(seed: int, stream: int) -> int:
 
     Applies a splitmix64 finalizer to ``seed XOR (stream + 1) * golden``;
     the +1 keeps stream 0 distinct from the raw seed.  Every stream is
-    derived here, so every seed passes :func:`check_seed`.
+    derived here, so every seed passes :func:`check_seed` and every stream
+    :func:`check_count` in [0, 2**64 - 1), where no two streams alias.
     """
     check_seed(seed)
-    x = (int(seed) ^ (((int(stream) + 1) * _GOLDEN) & _MASK64)) & _MASK64
+    stream = check_count(stream, "stream", 0, _MASK64 - 1)
+    x = (int(seed) ^ (((stream + 1) * _GOLDEN) & _MASK64)) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64

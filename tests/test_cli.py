@@ -209,7 +209,7 @@ def test_entropy_spacing_window_out_of_range_exit_four(tmp_path, capsys):
         "entropy", "--input", str(tmp_path / "x.csv"),
         "--method", "spacing", "--m-spacing", "501",
     ]) == 4
-    assert "window m=501 out of range [1, 500]" in capsys.readouterr().err
+    assert "m must be in [1, 500], got 501" in capsys.readouterr().err
 
 
 def test_entropy_knn(tmp_path, capsys):
@@ -529,3 +529,11 @@ def test_error_class_exit_code(cls, monkeypatch, capsys):
 
 def test_exit_code_table_matches_error_classes():
     assert documented_exit_codes() == {c.__name__: c.exit_code for c in ERROR_CLASSES}
+
+
+def test_analyze_matrix_inf_string_entry_exit_four(tmp_path, capsys):
+    # A matrix needs finite entries, so "inf" is read as the string it is.
+    fmt.write_json(tmp_path / "m.json",
+                   {"rows": 1, "cols": 2, "field": "real", "data": [["inf", 1.0]]})
+    assert main(["analyze-matrix", "--input", str(tmp_path / "m.json")]) == 4
+    assert "matrix data row 1, entry 1: not a number: 'inf'" in capsys.readouterr().err

@@ -176,3 +176,11 @@ def test_block_polar_rejects_bad_blocks():
         block_polar(-np.eye(2))
     with pytest.raises(NotSpd):
         block_polar(np.eye(3))
+
+
+def test_block_polar_wraps_minus_half_pi_to_half_pi():
+    # 0.5 * atan2 never exceeds pi/2; it reaches -pi/2 only for an
+    # off-diagonal -0.0 with a < c, and that angle wraps to pi/2.
+    bp = block_polar(np.array([[1.0, -0.0], [-0.0, 2.0]]))
+    assert bp.theta == np.pi / 2
+    assert bp.d == (2.0, 1.0)

@@ -404,3 +404,30 @@ def test_transport_log_derivative_rejects_bad_count():
 def test_sample_sources_needs_a_source():
     with pytest.raises(ValueError, match="need at least one source"):
         sample_sources([], 10, 0)
+
+
+def test_sample_sources_column_subset_is_the_full_draws_columns():
+    sources = [gaussian(1.0), uniform(-1.0, 1.0), laplace(1.0)]
+    full = sample_sources(sources, 10, 4, trial=2)
+    assert np.array_equal(sample_sources(sources, 10, 4, trial=2, columns=[2, 0]), full[:, [2, 0]])
+
+
+def test_exponential_quantile_transport_matches_the_normal_log_survival():
+    from scipy.stats import norm
+
+    x = np.linspace(-6.0, 6.0, 241)
+    for rate in (0.5, 2.0):
+        t = quantile_transport(exponential(rate)).transform(x)
+        assert_allclose(t, -norm.logsf(x) / rate, rtol=0.0, atol=1e-12)
+        assert np.all(np.diff(t) > 0)
+
+
+@pytest.mark.parametrize("model, slope", [
+    (uniform_disk(1.7), 1.7 / np.sqrt(2.0)),
+    (circular_gaussian(0.6), 0.6 / np.sqrt(2.0)),
+])
+def test_radial_transport_jacobian_at_the_origin(model, slope):
+    # g'(0) is R / sqrt(2) for the disk of radius R, sigma / sqrt(2) for the
+    # circular Gaussian, and the map is g'(0) I to first order at 0.
+    J = radial_transport(model).jacobian(np.zeros(2))
+    assert_allclose(J, slope * np.eye(2), rtol=1e-15, atol=0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixent.rng import generator, haar_rows, mix_seed
+from mixent.rng import check_count, generator, haar_rows, mix_seed
 
 
 @pytest.mark.parametrize("complex_field", [False, True])
@@ -106,3 +106,28 @@ def test_api_seeds_are_checked():
             matrix=MixingMatrix.from_array(np.ones((2, 2))), sources=(gaussian(1.0),) * 2,
             n_samples=1000, seed=True,
         )
+
+
+@pytest.mark.parametrize("value, lo, hi, message", [
+    (2.5, 1, None, "n must be an integer, got 2.5"),
+    (np.bool_(True), 1, None, f"n must be an integer, got {np.bool_(True)!r}"),
+    (0, 1, None, "n must be at least 1, got 0"),
+    (np.int64(-2), 0, None, "n must be at least 0, got -2"),
+    (6, 1, 5, "n must be in [1, 5], got 6"),
+    (0, 1, 5, "n must be in [1, 5], got 0"),
+])
+def test_check_count_messages(value, lo, hi, message):
+    with pytest.raises(ValueError) as info:
+        check_count(value, "n", lo, hi)
+    assert str(info.value) == message
+
+
+def test_check_count_returns_a_python_int():
+    for value in (np.int64(7), np.uint8(7), 7):
+        out = check_count(value, "n", 7, 7)
+        assert out == 7 and type(out) is int
+
+
+@pytest.mark.parametrize("stream", [0, 2**64 - 2, np.uint64(2**64 - 2), np.int32(3)])
+def test_every_stream_in_range_is_accepted(stream):
+    assert mix_seed(7, stream) == mix_seed(7, int(stream))
