@@ -198,7 +198,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
     p.add_argument(
         "--restarts", type=_positive_int, default=5,
-        help="most random restarts; they stop once two end within 0.02 nats of the best",
+        help="most random restarts, each started at the kurtosis fixed point of its "
+        "random frame; they stop once two end within 0.02 nats of the best",
     )
     p.add_argument(
         "--truth-mix", default=None,

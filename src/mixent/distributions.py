@@ -475,13 +475,13 @@ def quantile_transport(target: SourceModel) -> TransportMap1D:
     elif fam == "laplace":
         mu, b = p.get("mu", 0.0), p["scale"]
 
+        # 1 - 2|Phi(x) - 1/2| is 2 Phi(-|x|), evaluated as the tail itself:
+        # the difference cancels to 0 from |x| = 8.3 on.
         def t(x):
-            u = ndtr(x) - 0.5
-            return mu - b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+            return mu - b * np.sign(x) * np.log(2.0 * ndtr(-np.abs(x)))
 
         def dt(x):
-            u = ndtr(x) - 0.5
-            return _norm_pdf(x) * 2.0 * b / np.maximum(1.0 - 2.0 * np.abs(u), 1e-300)
+            return _norm_pdf(x) * b / ndtr(-np.abs(x))
 
     elif fam == "exponential":
         rate = p["rate"]

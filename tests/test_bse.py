@@ -16,6 +16,7 @@ from mixent import (
     UnsupportedFamily,
     contrast,
     gaussian,
+    gaussian_mixture,
     laplace,
     minimize_contrast,
     oracle_decompose,
@@ -297,12 +298,15 @@ def test_minimize_contrast_complex_disks():
 
 
 def test_minimize_contrast_sweep_budget_flagged():
-    X, _ = uniform_observation(2, 20000, 31)
-    th = np.pi / 6
-    R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    obs = Observation.from_samples(X @ R.T)
-    res = minimize_contrast(obs, 1, seed=0, restarts=1, max_sweeps=1)
+    # Criterion 9's shape: from its kurtosis start the descent's first sweep
+    # still gains more than 1e-3 nats, so one sweep is not enough.
+    gen = np.random.Generator(np.random.Philox(9001))
+    M, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), 20000, 1)
+    obs = Observation.from_samples(X @ M.T)
+    res = minimize_contrast(obs, 2, seed=1, restarts=1, max_sweeps=1)
     assert res.sweeps == 1
+    assert res.trace[0][0] - res.trace[0][1] >= 1e-3
     assert not res.converged
     assert np.isfinite(res.contrast_value)
 
@@ -365,11 +369,11 @@ def test_minimize_contrast_seeded_golden():
     M, _ = np.linalg.qr(gen.standard_normal((3, 3)))
     X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 3000, 61)
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=7, restarts=2)
-    assert _extraction_digest(res) == "41e2a5750c7090418f4897b77b36e2e7516a70a64c2fe20d7c49c1a5f0f19d52"
+    assert _extraction_digest(res) == "bccb10ed14aa7e4d4e6a92bdbe3e428bd095ac1da4d0def34fa3c79c31be0fa0"
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)
-    assert _extraction_digest(res) == "e026ce0b32abf6a0ed46ad90bf3d8b89abc20880762c1e408f7b992cba612b16"
+    assert _extraction_digest(res) == "83da71e3c85df88ba12cd4b0ba31f9ac47287a3d7b16c06ef793f4b9d5e4341c"
 
 
 def test_two_agreeing_restarts_keep_their_seeded_bytes():
@@ -386,7 +390,7 @@ def test_two_agreeing_restarts_keep_their_seeded_bytes():
     X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 2000, 61)
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=7, restarts=2)
     assert abs(res.restart_objectives[1] - res.restart_objectives[0]) <= bse._AGREE
-    assert _extraction_digest(res) == "fc4ee493bf43f38a099cd320958d4cdb91d90370f52575157416d29289cc4e3c"
+    assert _extraction_digest(res) == "a6f895f69beba1f9fb95cc0c304cff2682748b42834ef04d6cd8c8de5bbb917a"
 
 
 def test_restarts_stop_once_two_agree(monkeypatch):
@@ -422,14 +426,17 @@ def test_complex_two_row_extraction_seeded_golden():
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 65)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 2, seed=10, restarts=1)
-    assert _extraction_digest(res) == "e4e013d16708d0881a71474792405e8be47e95b425179d7a295ccaae2b26ae90"
+    assert _extraction_digest(res) == "def2418047eb313ea8233a177613589321a8351daa8f84979573dfd46ea4e83f"
 
 
-def record_complex_line_searches(monkeypatch):
+def record_complex_line_searches(monkeypatch, haar_start=False):
     # One complex extraction of a 2 x 2 disk mixture at one restart: a single
     # pair in a single descent.  Returns each angle search as (settled, f0,
-    # theta, f_best) followed by whether a phase search came next.
+    # theta, f_best) followed by whether a phase search came next.  With
+    # ``haar_start`` the descent starts from restart 0's Haar frame itself,
+    # not from its kurtosis fixed point, so it has further to turn.
     import mixent.bse as bse
+    from mixent.rng import generator, haar_rows
 
     calls = []
     line_search = bse._line_search
@@ -446,7 +453,12 @@ def record_complex_line_searches(monkeypatch):
     gen = np.random.Generator(np.random.Philox(5003))
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 3000, 103)
-    minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=3, restarts=1)
+    obs = Observation.from_samples(Z @ Qc.T)
+    if haar_start:
+        U0 = haar_rows(generator(3, 1000), 2, 2, True)
+        bse._optimize_frame(whiten(obs)[0].samples, 1, U0, "complex", 50)
+    else:
+        minimize_contrast(obs, 1, seed=3, restarts=1)
     return calls
 
 
@@ -463,10 +475,12 @@ def test_complex_phase_is_searched_only_past_the_angle_resolution(monkeypatch):
 
 def test_complex_pairs_are_settled_like_real_ones(monkeypatch):
     # After its first search the pair is settled exactly when its latest
-    # accepted turn was below _SETTLED, as on real data.
+    # accepted turn was below _SETTLED, as on real data.  From its kurtosis
+    # start the pair needs only 2 searches, so the descent starts from the
+    # Haar frame, where it turns by more than _SETTLED first.
     import mixent.bse as bse
 
-    calls = record_complex_line_searches(monkeypatch)
+    calls = record_complex_line_searches(monkeypatch, haar_start=True)
     assert len(calls) > 2
     assert not calls[0][0][0]
     for (prev, _), ((settled, _, _, _), _) in zip(calls, calls[1:]):
@@ -657,21 +671,118 @@ def test_one_restart_still_separates_where_the_grid_finds_the_basin():
     assert min(separation_quality(res.demixer, M).dominance) >= 0.95
 
 
+def criterion_9_input(s, n_samples=20000, source=None):
+    # Criterion 9's shape: three sources (unit uniforms unless given) and one
+    # Gaussian under the orthogonal mix of Philox(9000 + s).
+    gen = np.random.Generator(np.random.Philox(9000 + s))
+    M, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    X = sample_sources((source or unit_variance_uniform(),) * 3 + (gaussian(1.0),), n_samples, s)
+    return Observation.from_samples(X @ M.T), M
+
+
+def disk_input(i):
+    gen = np.random.Generator(np.random.Philox(5000 + i))
+    Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
+    Z = sample_sources([uniform_disk(1.0)] * 2, 3000, 100 + i)
+    return Observation.from_samples(Z @ Qc.T), Qc
+
+
+def kurtosis_frames(obs, restarts=5):
+    # The start of each restart of minimize_contrast(obs, ..., seed=0), before
+    # any descent, and the whitener.
+    import mixent.bse as bse
+    from mixent.rng import generator, haar_rows
+
+    wobs, C = whiten(obs)
+    N, n = obs.samples.shape
+    Ys = wobs.samples[:: max(1, N // bse._COARSE_POINTS)]
+    frames = []
+    for r in range(restarts):
+        U0 = haar_rows(generator(0, 1000 + r), n, n, obs.field == "complex")
+        frames.append(bse._kurtosis_frame(wobs.samples, Ys, U0, obs.field))
+    return frames, C
+
+
+@pytest.mark.parametrize("case", ["real", "complex"])
+def test_kurtosis_frame_rows_are_orthonormal(case):
+    obs, _ = criterion_9_input(10) if case == "real" else disk_input(25)
+    frames, _ = kurtosis_frames(obs)
+    for U in frames:
+        assert U.dtype == obs.samples.dtype
+        assert_allclose(U @ U.conj().T, np.eye(U.shape[0]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["criterion_9", "criterion_9_3000", "disks_25", "disks_39"])
+def test_kurtosis_frame_separates_before_any_descent(case):
+    # Every restart's start already separates, so its descent only refines
+    # a frame inside the basin.  Disks 25 and 39 failed from Haar starts at
+    # restarts=1.
+    obs, M = {
+        "criterion_9": lambda: criterion_9_input(10),
+        "criterion_9_3000": lambda: criterion_9_input(1, 3000),
+        "disks_25": lambda: disk_input(25),
+        "disks_39": lambda: disk_input(39),
+    }[case]()
+    m = 2
+    frames, C = kurtosis_frames(obs)
+    for U in frames:
+        quality = separation_quality(U[:m] @ C, M)
+        assert quality.success and min(quality.dominance) >= 0.95
+
+
+def test_zero_kurtosis_sources_still_separate():
+    # The cubic update cannot see a source with zero excess kurtosis, so the
+    # start is no better than its Haar frame there; the spacing descent still
+    # separates these skewed sources.
+    weights, mus, sigmas = [0.75, 0.25], [-0.5, 1.5], [0.8, 0.8945652013515192]
+    w, s = np.array(weights), np.array(sigmas)
+    d = np.array(mus) - w @ np.array(mus)
+    var = w @ (d**2 + s**2)
+    skew = w @ (d**3 + 3 * d * s**2) / var**1.5
+    excess = w @ (d**4 + 6 * d**2 * s**2 + 3 * s**4) / var**2 - 3.0
+    assert abs(excess) <= 1e-12 and skew == pytest.approx(0.54, abs=5e-3)
+    source = gaussian_mixture(weights, mus, sigmas)
+    for seed in (10, 11, 12):
+        obs, M = criterion_9_input(seed, source=source)
+        res = minimize_contrast(obs, 2, seed=seed)
+        assert separation_quality(res.demixer, M).success
+    for seed in (0, 1, 2):
+        obs, M = criterion_9_input(seed, 3000, source)
+        res = minimize_contrast(obs, 2, seed=seed, restarts=1)
+        assert separation_quality(res.demixer, M).success
+
+
+def test_all_gaussian_input_gives_a_finite_demixer():
+    # Nothing to find: the fixed point runs to its step limit on an update
+    # that is all sampling noise, and its SVD polar factor stays orthonormal
+    # and finite.
+    import warnings
+
+    X = sample_sources([gaussian(1.0)] * 4, 20000, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_contrast(Observation.from_samples(X), 2, seed=0)
+    assert np.all(np.isfinite(res.demixer)) and np.isfinite(res.contrast_value)
+    assert_allclose(np.linalg.norm(res.demixer, axis=1), 1.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("case", ["real", "complex"])
 def test_minimize_contrast_scores_each_rotation_once(case, monkeypatch):
-    # Outside the line searches the only entropy evaluations are the initial
-    # row scores of each restart and the rows of the final contrast: an
-    # accepted rotation reuses the row values its line search computed, and
-    # the complex phase search starts from the angle search's best value.
+    # Outside the line searches the only entropy evaluations are the n rows
+    # each restart scores to order its start frame, the k initial row scores
+    # of its descent and the k rows of the final contrast: an accepted
+    # rotation reuses the row values its line search computed, and the
+    # complex phase search starts from the angle search's best value.
     import mixent.bse as bse
 
     counts = {"outside": 0, "accepted": 0}
     depth = [0]
-    marginal, line_search = bse._marginal_entropy_value, bse._line_search
+    name = "spacing_entropy_value" if case == "real" else "_knn_value"
+    estimate, line_search = getattr(bse, name), bse._line_search
 
-    def counted_marginal(*args):
+    def counted_estimate(*args):
         counts["outside"] += depth[0] == 0
-        return marginal(*args)
+        return estimate(*args)
 
     def counted_line_search(f, f0, *args, **kwargs):
         depth[0] += 1
@@ -682,7 +793,7 @@ def test_minimize_contrast_scores_each_rotation_once(case, monkeypatch):
         counts["accepted"] += f_best < f0 and t != 0.0
         return t, f_best, evals
 
-    monkeypatch.setattr(bse, "_marginal_entropy_value", counted_marginal)
+    monkeypatch.setattr(bse, name, counted_estimate)
     monkeypatch.setattr(bse, "_line_search", counted_line_search)
     gen = np.random.Generator(np.random.Philox(2020))
     if case == "real":
@@ -695,7 +806,7 @@ def test_minimize_contrast_scores_each_rotation_once(case, monkeypatch):
         k, restarts = 1, 1
     minimize_contrast(Observation.from_samples(X @ M.T), k, seed=9, restarts=restarts)
     assert counts["accepted"] > 0
-    assert counts["outside"] == restarts * k + k
+    assert counts["outside"] == restarts * (M.shape[0] + k) + k
 
 
 def test_real_search_scores_through_bse_spacing_binding(monkeypatch):
@@ -762,9 +873,8 @@ def test_restarts_search_a_subsample_and_the_polish_all_the_data(n_samples, monk
     if n_samples == 20000:
         assert rows == [{5000}] * 2 + [{20000}]
     else:
-        # Restart 0 ends in a frame that does not separate, so the restarts
-        # do not agree until a third one runs, and the result separates.
-        assert rows == [{3000}] * 3
+        # Both restarts start inside the separating basin and agree.
+        assert rows == [{3000}] * 2
         assert min(separation_quality(res.demixer, M).dominance) >= 0.95
     assert_restarts_stopped_at_agreement(res, 5)
     assert res.restart_objectives[res.best_restart] == min(res.restart_objectives)

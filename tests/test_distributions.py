@@ -288,6 +288,24 @@ def test_quantile_transport_derivative_positive():
         assert np.all(np.isfinite(d))
 
 
+def test_laplace_transport_is_finite_over_the_normal_draw_range():
+    # rng.normal_open draws within [-37, 37].  Written as 1 - 2|Phi(x) - 1/2|
+    # the Laplace tail cancels to 0 from |x| = 8.3 on, and the map to +-inf.
+    from scipy.special import ndtr
+
+    x = np.linspace(-37.0, 37.0, 74001)
+    tm = quantile_transport(laplace(0.7))
+    t, d = tm.transform(x), tm.derivative(x)
+    assert np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)
+    assert np.array_equal(tm.transform(-x), -t)
+    assert np.all(np.isfinite(d)) and np.all(d > 0.0)
+    # Where the old form has lost no digits yet, both forms agree.
+    near = x[np.abs(x) <= 3.0]
+    u = ndtr(near) - 0.5
+    old = -0.7 * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    assert np.max(np.abs(tm.transform(near) - old)) <= 1e-12
+
+
 def test_quantile_transport_monotone():
     grid = np.linspace(-6.0, 6.0, 10000)
     for m in (uniform(0.0, 1.0), gaussian_mixture((0.5, 0.5), (-2.0, 2.0), (1.0, 0.5))):
