@@ -105,7 +105,9 @@ _AGREE = 0.02
 # find, such as Gaussian data or sources of zero excess kurtosis.  There it
 # does not converge, and every step is spent: on three such sources and a
 # Gaussian at 20k x 4 an extraction took 1.2 times as long as from the Haar
-# frames with 20 steps, 1.8 times with 50, and separated as often.
+# frames with 20 steps, 1.8 times with 50, and separated as often.  The same
+# row test (_same_rows) finds restarts whose starts coincide, which then
+# share one descent.
 _FIXED_POINT_TOL = 1e-8
 _FIXED_POINT_STEPS = 20
 
@@ -170,7 +172,15 @@ def whiten(obs: Observation):
         )
     C = (V / np.sqrt(w)).conj().T
     yc = obs.samples - obs.samples.mean(axis=0)
-    return Observation(samples=yc @ C.T, field=obs.field), C
+    return Observation(samples=_project(yc, C), field=obs.field), C
+
+
+def _project(Y: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """``Y @ U.T``, the coordinates of each sample row of ``Y`` on the rows
+    of ``U``, multiplied by a C-ordered copy of ``U.T``: on 20k x 4 points
+    by a 4 x 4 ``U`` that takes about 50 us against 100 to 120 us with the
+    transposed view (numpy 2.4, 2 BLAS threads), with the same bits."""
+    return Y @ U.T.copy()
 
 
 def _row_scorer(field: str, n: int):
@@ -232,7 +242,7 @@ def contrast(W, obs: Observation) -> float:
     """
     arr = _demixer_array(W, obs.field, obs.samples.shape[1])
     log_volume = _log_volume(arr, obs.samples, obs.field)
-    Z = obs.samples @ arr.T
+    Z = _project(obs.samples, arr)
     hsum = sum(_marginal_entropy_value(Z[:, i], obs.field) for i in range(arr.shape[0]))
     return float(hsum - log_volume)
 
@@ -324,7 +334,9 @@ class ExtractionResult:
     kurtosis fixed point, not at its Haar frame.  ``restart_objectives``
     and ``trace`` hold one entry per restart that ran, which may be fewer
     than the ``restarts`` asked for: the stage stops once two restarts
-    agree.
+    agree.  A restart whose start coincides with an earlier restart's
+    shares that restart's descent, so it reports the same objective and
+    trace.
     ``converged`` is False when the best restart or the polish of its frame
     on all the data hit the sweep limit while still improving.
     """
@@ -349,6 +361,7 @@ def _optimize_frame(
     max_sweeps: int,
     polish: bool = False,
     confirmed: bool = False,
+    scores: np.ndarray | None = None,
 ):
     """Coordinate descent over Givens rotations of an orthonormal frame.
 
@@ -370,12 +383,19 @@ def _optimize_frame(
     grid.  Every later sweep scores it again, unless the polish is also
     ``confirmed``: a second restart ended in the same basin, so the polish
     only refines a frame inside it, and every sweep skips the grid.
+
+    ``scores``, when given, holds the entropy estimates of the rows of
+    ``U0`` on ``Yw`` (as :func:`_kurtosis_frame` returns them), so the
+    first ``m`` rows are not scored again.
     """
     n = U0.shape[0]
     U = U0.copy()
     # One contiguous row per frame vector, so rotations stream through memory.
-    Z = np.ascontiguousarray((Yw @ U.T).T)
-    hvals = np.array([_marginal_entropy_value(Z[i], field) for i in range(m)])
+    Z = np.ascontiguousarray(_project(Yw, U).T)
+    if scores is None:
+        hvals = np.array([_marginal_entropy_value(Z[i], field) for i in range(m)])
+    else:
+        hvals = scores[:m].copy()
     complex_field = field == "complex"
     # The search writes each rotated row into one of two buffers, which the
     # scorer may then overwrite.
@@ -444,9 +464,12 @@ def _optimize_frame(
     return U, float(hvals.sum()), sweeps, converged, tuple(trace)
 
 
-def _kurtosis_frame(Yw: np.ndarray, Ys: np.ndarray, U0: np.ndarray, field: str) -> np.ndarray:
+def _kurtosis_frame(
+    Yw: np.ndarray, Ys: np.ndarray, U0: np.ndarray, field: str
+) -> tuple[np.ndarray, np.ndarray]:
     """The kurtosis fixed point reached from the frame ``U0``, its rows
-    ordered by their entropy estimate on ``Ys``, lowest first.
+    ordered by their entropy estimate on ``Ys``, lowest first, and those
+    estimates in the same order.
 
     The symmetric fixed point of FastICA with the cubic nonlinearity
     (Hyvarinen 1999; Bingham and Hyvarinen 2000 for complex data) runs on
@@ -458,23 +481,31 @@ def _kurtosis_frame(Yw: np.ndarray, Ys: np.ndarray, U0: np.ndarray, field: str) 
     factor P Q^H of G = P S Q^H stays orthonormal and finite even when G is
     rank-deficient, as on all-Gaussian data.  The rows are then scored by
     the search's own estimator and stably sorted, so the rows the descent
-    extracts start on the least Gaussian directions.
+    extracts start on the least Gaussian directions; the descent starts
+    from these scores instead of scoring its rows again.
     """
     shift = 1.0 + 2.0 / real_dims(field)
     Ybar = Yw.conj()
     U = U0
     for _ in range(_FIXED_POINT_STEPS):
-        # A C-ordered copy of U^T: on 20k x 4 points the product then takes
-        # about 50 us, against 200 us with the transposed view.
-        Y = Yw @ U.T.copy()
+        Y = _project(Yw, U)
         G = (Y * (Y * Y.conj()).real).T @ Ybar / Yw.shape[0] - shift * U
         P, _, Qh = np.linalg.svd(G)
         U, U_prev = P @ Qh, U
-        if np.all(1.0 - np.abs(np.sum(U * U_prev.conj(), axis=1)) < _FIXED_POINT_TOL):
+        if _same_rows(U, U_prev):
             break
     score = _row_scorer(field, Ys.shape[0])
-    Z = np.ascontiguousarray((Ys @ U.T).T)
-    return U[np.argsort([score(z) for z in Z], kind="stable")]
+    Z = np.ascontiguousarray(_project(Ys, U).T)
+    scores = np.array([score(z) for z in Z])
+    order = np.argsort(scores, kind="stable")
+    return U[order], scores[order]
+
+
+def _same_rows(U: np.ndarray, V: np.ndarray) -> bool:
+    """Whether every row of ``U`` is the row of ``V`` in the same place up to
+    its sign (real) or a unit phase (complex): 1 - |<u, v>| is below
+    ``_FIXED_POINT_TOL`` for each pair of unit rows."""
+    return bool(np.all(1.0 - np.abs(np.sum(U * V.conj(), axis=1)) < _FIXED_POINT_TOL))
 
 
 def minimize_contrast(
@@ -495,10 +526,16 @@ def minimize_contrast(
     random numbers.  The fixed point's rows are ordered by their entropy
     estimate, lowest first, so the descent starts inside the basin of a
     separating frame with the least Gaussian rows in the first
-    ``n_extract`` places.  The restarts stop early, after the first restart
-    that leaves two objectives within 0.02 nats of their minimum: those two
-    have found the same basin, and from kurtosis starts the second restart
-    mostly confirms the first.  With ``restarts <= 2`` every restart runs.
+    ``n_extract`` places.  A restart whose start coincides with an earlier
+    restart's, every row the same up to its sign or phase within
+    1 - |<u, v>| < 1e-8 (about 1.4e-4 rad), would repeat that descent, so
+    it shares it and reports that descent's objective and trace.  The
+    restarts stop early, after the first restart that leaves two
+    objectives within 0.02 nats of their minimum: those two have found the
+    same basin.  From kurtosis starts the second restart mostly confirms
+    the first, usually from the same start, so on the criterion 9 shape an
+    extraction runs one restart descent and the polish.  With
+    ``restarts <= 2`` every restart runs.
     Each angle and phase line search stops at a 1e-2 rad bracket: over that
     half-width a pair's contrast rises by about 3.7e-3 nats on 20k
     uniforms, about the standard error of one row's entropy estimate, and
@@ -529,7 +566,8 @@ def minimize_contrast(
 
     ``restart_objectives``, ``trace``, ``best_restart`` and ``sweeps``
     describe the restart stage on the points it searched, one entry of
-    ``restart_objectives`` and ``trace`` per restart that ran; ``converged`` is
+    ``restart_objectives`` and ``trace`` per restart that ran (a restart
+    that shared an earlier descent repeats its entries); ``converged`` is
     False when the best restart or the polish ran ``max_sweeps`` sweeps
     without a sweep below 1e-3 nats; ``contrast_value`` is the contrast of
     the demixer on all N points.
@@ -558,10 +596,19 @@ def minimize_contrast(
     best = None
     objectives = []
     traces = []
+    # (start frame, result) of each descent that ran: a restart whose start
+    # coincides with an earlier one would repeat that descent.
+    descents = []
     for r in range(restarts):
         U0 = haar_rows(generator(seed, 1000 + r), n, n, complex_field)
-        U0 = _kurtosis_frame(wobs.samples, Ys, U0, obs.field)
-        U, obj, sweeps, conv, trace = _optimize_frame(Ys, n_extract, U0, obs.field, max_sweeps)
+        U0, scores = _kurtosis_frame(wobs.samples, Ys, U0, obs.field)
+        descent = next((d for V, d in descents if _same_rows(U0, V)), None)
+        if descent is None:
+            descent = _optimize_frame(
+                Ys, n_extract, U0, obs.field, max_sweeps, False, False, scores
+            )
+            descents.append((U0, descent))
+        U, obj, sweeps, conv, trace = descent
         objectives.append(obj)
         traces.append(trace)
         if best is None or obj < best[1]:

@@ -199,7 +199,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--restarts", type=_positive_int, default=5,
         help="most random restarts, each started at the kurtosis fixed point of its "
-        "random frame; they stop once two end within 0.02 nats of the best",
+        "random frame; a restart whose start coincides with an earlier one's "
+        "shares its descent, and they stop once two end within 0.02 nats of the best",
     )
     p.add_argument(
         "--truth-mix", default=None,

@@ -365,11 +365,13 @@ def _extraction_digest(result):
 def test_minimize_contrast_seeded_golden():
     # Pins the exact bytes of two seeded extractions, so any change to the
     # search path or to the last bit of an entropy evaluation shows here.
+    # The first one's second restart starts where its first did, so it
+    # reports the first restart's descent.
     gen = np.random.Generator(np.random.Philox(2019))
     M, _ = np.linalg.qr(gen.standard_normal((3, 3)))
     X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 3000, 61)
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=7, restarts=2)
-    assert _extraction_digest(res) == "bccb10ed14aa7e4d4e6a92bdbe3e428bd095ac1da4d0def34fa3c79c31be0fa0"
+    assert _extraction_digest(res) == "c986b4da0b8dc2f8d94cc370653a5306fc5bf6ae16c10fd8f6a705d884ce9cb8"
     Qc, _ = np.linalg.qr(gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2)))
     Z = sample_sources([uniform_disk(1.0)] * 2, 2000, 62)
     res = minimize_contrast(Observation.from_samples(Z @ Qc.T), 1, seed=8, restarts=1)
@@ -382,21 +384,22 @@ def test_two_agreeing_restarts_keep_their_seeded_bytes():
     # test_minimize_contrast_seeded_golden pins 3000 points at 2 restarts
     # and 2000 at 1, test_complex_two_row_extraction_seeded_golden 2000 at
     # 1; this one pins 2000 points at 2 restarts whose objectives agree, so
-    # the rule does fire.
-    import mixent.bse as bse
-
+    # the rule does fire.  Here the second restart starts where the first
+    # did and reports its descent, so the two objectives are equal.
     gen = np.random.Generator(np.random.Philox(2019))
     M, _ = np.linalg.qr(gen.standard_normal((3, 3)))
     X = sample_sources([unit_variance_uniform(), laplace(2**-0.5), gaussian(1.0)], 2000, 61)
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=7, restarts=2)
-    assert abs(res.restart_objectives[1] - res.restart_objectives[0]) <= bse._AGREE
-    assert _extraction_digest(res) == "a6f895f69beba1f9fb95cc0c304cff2682748b42834ef04d6cd8c8de5bbb917a"
+    assert res.restart_objectives[1] == res.restart_objectives[0]
+    assert _extraction_digest(res) == "288d8bf5beb7174128e46bac7a79037d419214490cf2953504b931dc09c7917d"
 
 
 def test_restarts_stop_once_two_agree(monkeypatch):
     # Criterion 9's first input: the first two restarts end in the same
     # basin, so the search stops there.  With the rule switched off all five
-    # restarts run, and they find no better basin nor another pair.
+    # restarts run, and they find no better basin nor another pair.  Their
+    # starts coincide, so they would share one descent: the row test is
+    # switched off too, and each restart runs its own.
     import mixent.bse as bse
 
     gen = np.random.Generator(np.random.Philox(9000))
@@ -411,10 +414,11 @@ def test_restarts_stop_once_two_agree(monkeypatch):
 
     agree = bse._AGREE
     monkeypatch.setattr(bse, "_AGREE", -np.inf)
+    monkeypatch.setattr(bse, "_same_rows", lambda U, V: False)
+    points = record_descents(monkeypatch)
     full = minimize_contrast(obs, 2, seed=0)
     assert len(full.restart_objectives) == len(full.trace) == 5
-    assert full.restart_objectives[:2] == res.restart_objectives
-    assert full.trace[:2] == res.trace
+    assert points == [5000] * 5 + [20000]
     assert min(res.restart_objectives) <= min(full.restart_objectives) + agree
     assert separation_quality(full.demixer, M).selected == quality.selected
 
@@ -699,7 +703,7 @@ def kurtosis_frames(obs, restarts=5):
     frames = []
     for r in range(restarts):
         U0 = haar_rows(generator(0, 1000 + r), n, n, obs.field == "complex")
-        frames.append(bse._kurtosis_frame(wobs.samples, Ys, U0, obs.field))
+        frames.append(bse._kurtosis_frame(wobs.samples, Ys, U0, obs.field)[0])
     return frames, C
 
 
@@ -766,13 +770,75 @@ def test_all_gaussian_input_gives_a_finite_demixer():
     assert_allclose(np.linalg.norm(res.demixer, axis=1), 1.0, atol=1e-9)
 
 
+def test_same_rows_ignores_only_sign_and_phase():
+    import mixent.bse as bse
+
+    gen = np.random.Generator(np.random.Philox(7))
+    U, _ = np.linalg.qr(gen.standard_normal((4, 4)))
+    Uc, _ = np.linalg.qr(gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3)))
+    assert bse._same_rows(np.array([[1.0], [-1.0], [-1.0], [1.0]]) * U, U)
+    assert bse._same_rows(np.exp(1j * np.array([[0.3], [-2.0], [math.pi]])) * Uc, Uc)
+    c, s = math.cos(1e-3), math.sin(1e-3)
+    for V in (U, Uc):
+        turned = V.copy()
+        turned[0], turned[1] = c * V[0] + s * V[1], -s * V[0] + c * V[1]
+        assert not bse._same_rows(turned, V)
+        swapped = V[[1, 0] + list(range(2, V.shape[0]))]
+        assert not bse._same_rows(swapped, V)
+
+
+def record_descents(monkeypatch):
+    # The number of points each _optimize_frame call searches, in call order.
+    import mixent.bse as bse
+
+    points, optimize = [], bse._optimize_frame
+
+    def recorded_optimize(*args):
+        points.append(args[0].shape[0])
+        return optimize(*args)
+
+    monkeypatch.setattr(bse, "_optimize_frame", recorded_optimize)
+    return points
+
+
+@pytest.mark.parametrize("s", [10, 11, 12])
+def test_restarts_with_coincident_starts_share_one_descent(s, monkeypatch):
+    # Criterion 9's shape: the second restart's kurtosis start is the
+    # first's, row by row, so it reports the first restart's descent instead
+    # of running it again, and that descent and the polish are all that run.
+    points = record_descents(monkeypatch)
+    obs, M = criterion_9_input(s)
+    res = minimize_contrast(obs, 2, seed=s, restarts=5)
+    assert points == [5000, 20000]
+    assert res.restart_objectives[1] == res.restart_objectives[0]
+    assert res.trace[1] == res.trace[0]
+    assert res.best_restart == 0
+    assert separation_quality(res.demixer, M).success
+
+
+def test_restarts_without_a_fixed_point_run_their_own_descents(monkeypatch):
+    # Sources of zero excess kurtosis: the fixed point spends its step limit
+    # without converging, so no two starts coincide and every restart runs
+    # its own descent before the polish.
+    points = record_descents(monkeypatch)
+    source = gaussian_mixture([0.75, 0.25], [-0.5, 1.5], [0.8, 0.8945652013515192])
+    for s in (13, 14):
+        points.clear()
+        obs, M = criterion_9_input(s, source=source)
+        res = minimize_contrast(obs, 2, seed=s)
+        assert points == [5000] * len(res.restart_objectives) + [20000]
+        assert separation_quality(res.demixer, M).success
+
+
 @pytest.mark.parametrize("case", ["real", "complex"])
 def test_minimize_contrast_scores_each_rotation_once(case, monkeypatch):
     # Outside the line searches the only entropy evaluations are the n rows
-    # each restart scores to order its start frame, the k initial row scores
-    # of its descent and the k rows of the final contrast: an accepted
-    # rotation reuses the row values its line search computed, and the
-    # complex phase search starts from the angle search's best value.
+    # each restart scores to order its start frame and the k rows of the
+    # final contrast: the descent starts from the ordered start scores, an
+    # accepted rotation reuses the row values its line search computed, and
+    # the complex phase search starts from the angle search's best value.
+    # These inputs take no polish (stride 1), whose k initial row scores
+    # would count here.
     import mixent.bse as bse
 
     counts = {"outside": 0, "accepted": 0}
@@ -806,7 +872,7 @@ def test_minimize_contrast_scores_each_rotation_once(case, monkeypatch):
         k, restarts = 1, 1
     minimize_contrast(Observation.from_samples(X @ M.T), k, seed=9, restarts=restarts)
     assert counts["accepted"] > 0
-    assert counts["outside"] == restarts * (M.shape[0] + k) + k
+    assert counts["outside"] == restarts * M.shape[0] + k
 
 
 def test_real_search_scores_through_bse_spacing_binding(monkeypatch):
@@ -871,7 +937,10 @@ def test_restarts_search_a_subsample_and_the_polish_all_the_data(n_samples, monk
     X = sample_sources((unit_variance_uniform(),) * 3 + (gaussian(1.0),), n_samples, 1)
     res = minimize_contrast(Observation.from_samples(X @ M.T), 2, seed=1)
     if n_samples == 20000:
-        assert rows == [{5000}] * 2 + [{20000}]
+        # The second restart starts where the first did and shares its
+        # descent.
+        assert rows == [{5000}, {20000}]
+        assert res.restart_objectives[1] == res.restart_objectives[0]
     else:
         # Both restarts start inside the separating basin and agree.
         assert rows == [{3000}] * 2
